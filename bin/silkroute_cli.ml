@@ -260,29 +260,29 @@ let report_obs ?(trace_chrome = None) ~trace ~trace_json ~metrics ~profile () =
   | Some path -> Obs.Chrometrace.write_file path
   | None -> ()
 
-(* Corrupt the catalog on purpose (--skew-stats Table=Factor): forces the
-   lazy stats and scales the named tables in place, so every later
-   [Cost.annotate] sees the stale figures. *)
+(* Corrupt the catalog on purpose (--skew-stats Table=Factor): pins a
+   skewed private copy of the statistics, so every later plan and
+   [Cost.annotate] of [p] sees the stale figures. *)
 let apply_skew (p : S.Middleware.prepared) specs =
-  if specs <> [] then begin
-    let st = Lazy.force p.S.Middleware.stats in
-    List.iter
-      (fun spec ->
-        match String.index_opt spec '=' with
-        | None ->
-            invalid_arg ("--skew-stats expects TABLE=FACTOR, got: " ^ spec)
-        | Some i ->
-            let table = String.sub spec 0 i in
-            let factor =
-              try
-                float_of_string
-                  (String.sub spec (i + 1) (String.length spec - i - 1))
-              with Failure _ ->
-                invalid_arg ("--skew-stats: bad factor in: " ^ spec)
-            in
-            R.Stats.scale_table st table factor)
-      specs
-  end
+  if specs = [] then p
+  else
+    S.Middleware.with_skew p
+      (List.map
+         (fun spec ->
+           match String.index_opt spec '=' with
+           | None ->
+               invalid_arg ("--skew-stats expects TABLE=FACTOR, got: " ^ spec)
+           | Some i ->
+               let table = String.sub spec 0 i in
+               let factor =
+                 try
+                   float_of_string
+                     (String.sub spec (i + 1) (String.length spec - i - 1))
+                 with Failure _ ->
+                   invalid_arg ("--skew-stats: bad factor in: " ^ spec)
+               in
+               (table, factor))
+         specs)
 
 let parse_strategy s =
   match String.lowercase_ascii s with
@@ -344,7 +344,7 @@ let run_cmd query view_file scale seed schema data strategy no_reduce pretty
   let domains = parallel in
   let db, p = setup query view_file scale seed schema data in
   ignore db;
-  apply_skew p skew;
+  let p = apply_skew p skew in
   let diagnose_report samples =
     if diagnose then prerr_string (Obs.Diagnose.report samples)
   in
@@ -447,7 +447,7 @@ let diagnose_cmd query view_file scale seed schema data strategy no_reduce
   Obs.Control.set_enabled true;
   let db, p = setup query view_file scale seed schema data in
   ignore db;
-  apply_skew p skew;
+  let p = apply_skew p skew in
   let plan = S.Middleware.partition_of p (parse_strategy strategy) in
   let e = S.Middleware.execute ~reduce:(not no_reduce) ~budget p plan in
   print_string (Obs.Diagnose.report (S.Middleware.diagnose_samples p e))

@@ -287,7 +287,7 @@ type oracle = {
   mutable requests : int;
 }
 
-let oracle db = { stats = Stats.analyze db; db; requests = 0 }
+let oracle db = { stats = Stats.of_database db; db; requests = 0 }
 let oracle_with_stats db stats = { stats; db; requests = 0 }
 
 let ask ?profile o q =

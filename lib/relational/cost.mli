@@ -42,7 +42,8 @@ val estimate :
 type oracle
 
 val oracle : Database.t -> oracle
-(** Analyzes the database and wraps it as a counting oracle. *)
+(** Wraps the database's shared statistics ({!Stats.of_database}) as a
+    counting oracle. *)
 
 val oracle_with_stats : Database.t -> Stats.t -> oracle
 val ask : ?profile:Executor.profile -> oracle -> Sql.query -> estimate

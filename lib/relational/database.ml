@@ -4,19 +4,37 @@
 
 type stored = { schema : Schema.table; mutable data : Tuple.t array }
 
+(* [version] counts the mutations that can change table contents, so
+   data derived from them (catalog statistics) can be memoized per
+   version; [id] is a stable identity to hash the database by. *)
 type t = {
+  id : int;
   tables : (string, stored) Hashtbl.t;
   mutable inclusions : Schema.inclusion list;
+  mutable version : int;
 }
 
 exception Constraint_violation of string
 
-let create () = { tables = Hashtbl.create 16; inclusions = [] }
+let next_id = Atomic.make 0
+
+let create () =
+  {
+    id = Atomic.fetch_and_add next_id 1;
+    tables = Hashtbl.create 16;
+    inclusions = [];
+    version = 0;
+  }
+
+let id db = db.id
+let version db = db.version
+let bump db = db.version <- db.version + 1
 
 let add_table db (schema : Schema.table) =
   if Hashtbl.mem db.tables schema.name then
     invalid_arg (Printf.sprintf "Database.add_table: %s already exists" schema.name);
-  Hashtbl.replace db.tables schema.name { schema; data = [||] }
+  Hashtbl.replace db.tables schema.name { schema; data = [||] };
+  bump db
 
 let declare_inclusion db inc = db.inclusions <- inc :: db.inclusions
 let inclusions db = db.inclusions
@@ -63,12 +81,14 @@ let typecheck_row (schema : Schema.table) (row : Tuple.t) =
 let insert db name rows =
   let s = find_exn db name in
   List.iter (typecheck_row s.schema) rows;
-  s.data <- Array.append s.data (Array.of_list rows)
+  s.data <- Array.append s.data (Array.of_list rows);
+  bump db
 
 let load db name rows =
   let s = find_exn db name in
   List.iter (typecheck_row s.schema) rows;
-  s.data <- Array.of_list rows
+  s.data <- Array.of_list rows;
+  bump db
 
 let row_count db name = Array.length (find_exn db name).data
 let raw_data db name = (find_exn db name).data

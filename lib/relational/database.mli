@@ -11,6 +11,13 @@ exception Constraint_violation of string
 
 val create : unit -> t
 
+val id : t -> int
+(** A process-unique identity, fixed at {!create}. *)
+
+val version : t -> int
+(** Bumped by every {!add_table}, {!insert} and {!load}: two reads with
+    the same version see the same table contents. *)
+
 val add_table : t -> Schema.table -> unit
 (** Registers an empty table.  Raises [Invalid_argument] if the name is
     taken. *)

@@ -538,6 +538,127 @@ let masked_size (mask : bool array) (t : Tuple.t) =
   Array.iteri (fun i v -> if mask.(i) then s := !s + Value.wire_size v) t;
   !s
 
+(* --- the join probe core ------------------------------------------------ *)
+
+(* How a left row finds its right candidates, always in ascending
+   right-row order.  [One]: the ON condition is a single disjunct with
+   equi-keys, so its key table is probed directly; the table's row-id
+   lists are built ascending, so no per-row dedup or sort is needed.
+   [Union]: several keyed disjuncts, whose matches are deduplicated and
+   sorted per left row.  [All]: some disjunct has no equi-key, so every
+   right row is a candidate (a nested loop). *)
+type probe =
+  | One of int array * int list KeyTbl.t
+  | Union of (int array * int list KeyTbl.t) list
+  | All
+
+let key_table rk (right : Tuple.t array) =
+  let tbl = KeyTbl.create (max 16 (Array.length right)) in
+  for i = Array.length right - 1 downto 0 do
+    let k = Tuple.project rk right.(i) in
+    match KeyTbl.find tbl k with
+    | ids -> KeyTbl.replace tbl k (i :: ids)
+    | exception Not_found -> KeyTbl.add tbl k [ i ]
+  done;
+  tbl
+
+let probe_of (info : P.join_info) right =
+  if List.exists (fun (lk, _) -> Array.length lk = 0) info.P.disjuncts then All
+  else
+    match info.P.disjuncts with
+    | [ (lk, rk) ] -> One (lk, key_table rk right)
+    | djs -> Union (List.map (fun (lk, rk) -> (lk, key_table rk right)) djs)
+
+(* The hash join both interpreters run: [iter_left] feeds the left rows
+   in order, [emit] receives the output rows in order.  Each left row
+   charges one [Probe] for its candidate count, then an emission per
+   joined row the compiled ON predicate accepts, then — for a left outer
+   join with no match — one for the NULL-padded row: the legacy
+   interpreter's charges, call for call. *)
+let hash_join ctx (n : P.node) (info : P.join_info) iter_left
+    (right : Tuple.t array) emit =
+  let work0 = ctx.st.work in
+  let probed0 = ctx.st.probed and emitted0 = ctx.st.emitted in
+  let nright = Array.length right in
+  let probe = probe_of info right in
+  let null_pad = Tuple.all_null info.P.right_width in
+  let on = Expr.compile_pred info.P.on in
+  let left_rows = ref 0 and out_rows = ref 0 in
+  let matched = ref false in
+  let emit_row t =
+    charge_emit_row ctx t;
+    incr out_rows;
+    emit t
+  in
+  let try_row lrow i =
+    let joined = Tuple.concat lrow right.(i) in
+    if on joined then begin
+      matched := true;
+      emit_row joined
+    end
+  in
+  let rec try_rows lrow = function
+    | [] -> ()
+    | i :: rest ->
+        try_row lrow i;
+        try_rows lrow rest
+  in
+  let find tbl lk lrow =
+    match KeyTbl.find tbl (Tuple.project lk lrow) with
+    | ids -> ids
+    | exception Not_found -> []
+  in
+  let candidates = Hashtbl.create 64 in
+  iter_left (fun lrow ->
+      incr left_rows;
+      matched := false;
+      (match probe with
+      | One (lk, tbl) ->
+          let ids = find tbl lk lrow in
+          charge ctx `Probe (List.length ids);
+          try_rows lrow ids
+      | Union tbls ->
+          Hashtbl.reset candidates;
+          List.iter
+            (fun (lk, tbl) ->
+              List.iter
+                (fun i -> Hashtbl.replace candidates i ())
+                (find tbl lk lrow))
+            tbls;
+          let ids =
+            Hashtbl.fold (fun i () acc -> i :: acc) candidates []
+            |> List.sort compare
+          in
+          charge ctx `Probe (List.length ids);
+          try_rows lrow ids
+      | All ->
+          charge ctx `Probe nright;
+          for i = 0 to nright - 1 do
+            try_row lrow i
+          done);
+      if (not !matched) && info.P.kind = Sql.Left_outer then
+        emit_row (Tuple.concat lrow null_pad));
+  n.P.act_cost <- ctx.st.work - work0;
+  if Obs.Span.tracing () then begin
+    Obs.Span.set_name
+      (match probe with All -> "exec.nested-loop" | _ -> "exec.hash-join");
+    Obs.Span.add_list
+      [
+        Obs.Attr.string "kind"
+          (match info.P.kind with
+          | Sql.Inner -> "inner"
+          | Sql.Left_outer -> "left-outer");
+        Obs.Attr.int "left_rows" !left_rows;
+        Obs.Attr.int "right_rows" nright;
+        Obs.Attr.int "out_rows" !out_rows;
+        Obs.Attr.int "probed" (ctx.st.probed - probed0);
+        Obs.Attr.int "emitted" (ctx.st.emitted - emitted0);
+        Obs.Attr.int "work" (ctx.st.work - work0);
+      ];
+    Obs.Metrics.incr ~by:(ctx.st.probed - probed0) "exec.rows_probed";
+    Obs.Metrics.observe "exec.join.out_rows" (float_of_int !out_rows)
+  end
+
 (* Every node returns (charged_bytes, tuple) pairs: the byte figure is
    what emission charged for the row and what a downstream sort will
    charge again — full wire size everywhere except under an output
@@ -598,8 +719,7 @@ let rec exec_pairs ctx (n : P.node) : (int * Tuple.t) list =
     | P.Join { left; right; info } ->
         let l = exec_pairs ctx left in
         let r = exec_pairs ctx right in
-        Obs.Span.with_span "exec.join" (fun () ->
-            exec_join ctx n info (List.map snd l) (List.map snd r))
+        Obs.Span.with_span "exec.join" (fun () -> exec_join ctx n info l r)
     | P.Union ns -> List.concat_map (fun c -> exec_pairs ctx c) ns
     | P.Derived { input; _ } -> exec_pairs ctx input
     | P.Sort { input; keys; _ } ->
@@ -611,93 +731,13 @@ let rec exec_pairs ctx (n : P.node) : (int * Tuple.t) list =
 
 and exec_join ctx (n : P.node) (info : P.join_info) left right :
     (int * Tuple.t) list =
-  let work0 = ctx.st.work in
-  let probed0 = ctx.st.probed and emitted0 = ctx.st.emitted in
-  let right_arr = Array.of_list right in
-  let nright = Array.length right_arr in
-  let plans =
-    List.map
-      (fun (lk, rk) ->
-        if Array.length lk = 0 then `Full
-        else begin
-          let tbl = KeyTbl.create (max 16 nright) in
-          Array.iteri
-            (fun idx row ->
-              let k = Tuple.project rk row in
-              let prev = try KeyTbl.find tbl k with Not_found -> [] in
-              KeyTbl.replace tbl k (idx :: prev))
-            right_arr;
-          `Hash (lk, tbl)
-        end)
-      info.P.disjuncts
-  in
-  let needs_full =
-    List.exists (function `Full -> true | `Hash _ -> false) plans
-  in
-  let null_pad = Tuple.all_null info.P.right_width in
-  let on = info.P.on in
+  let right_arr = Array.make (List.length right) [||] in
+  List.iteri (fun i (_, t) -> right_arr.(i) <- t) right;
   let out = ref [] in
-  let candidates = Hashtbl.create 64 in
-  List.iter
-    (fun lrow ->
-      Hashtbl.reset candidates;
-      if needs_full then
-        for i = 0 to nright - 1 do
-          Hashtbl.replace candidates i ()
-        done
-      else
-        List.iter
-          (function
-            | `Full -> ()
-            | `Hash (lk, tbl) -> (
-                let k = Tuple.project lk lrow in
-                match KeyTbl.find_opt tbl k with
-                | None -> ()
-                | Some idxs ->
-                    List.iter (fun i -> Hashtbl.replace candidates i ()) idxs))
-          plans;
-      let matched = ref false in
-      (* Iterate in ascending right-row order for deterministic output. *)
-      let idxs =
-        Hashtbl.fold (fun i () acc -> i :: acc) candidates []
-        |> List.sort compare
-      in
-      charge ctx `Probe (List.length idxs);
-      List.iter
-        (fun i ->
-          let joined = Tuple.concat lrow right_arr.(i) in
-          if Expr.eval_pred on joined then begin
-            matched := true;
-            charge_emit_row ctx joined;
-            out := joined :: !out
-          end)
-        idxs;
-      if (not !matched) && info.P.kind = Sql.Left_outer then begin
-        let padded = Tuple.concat lrow null_pad in
-        charge_emit_row ctx padded;
-        out := padded :: !out
-      end)
-    left;
-  n.P.act_cost <- ctx.st.work - work0;
-  if Obs.Span.tracing () then begin
-    Obs.Span.set_name
-      (if needs_full then "exec.nested-loop" else "exec.hash-join");
-    Obs.Span.add_list
-      [
-        Obs.Attr.string "kind"
-          (match info.P.kind with
-          | Sql.Inner -> "inner"
-          | Sql.Left_outer -> "left-outer");
-        Obs.Attr.int "left_rows" (List.length left);
-        Obs.Attr.int "right_rows" nright;
-        Obs.Attr.int "out_rows" (List.length !out);
-        Obs.Attr.int "probed" (ctx.st.probed - probed0);
-        Obs.Attr.int "emitted" (ctx.st.emitted - emitted0);
-        Obs.Attr.int "work" (ctx.st.work - work0);
-      ];
-    Obs.Metrics.incr ~by:(ctx.st.probed - probed0) "exec.rows_probed";
-    Obs.Metrics.observe "exec.join.out_rows" (float_of_int (List.length !out))
-  end;
+  hash_join ctx n info
+    (fun f -> List.iter (fun (_, t) -> f t) left)
+    right_arr
+    (fun t -> out := t :: !out);
   List.rev_map (fun t -> (0, t)) !out
 
 and exec_sort ctx (n : P.node) keys (pairs : (int * Tuple.t) list) :
@@ -881,111 +921,17 @@ let rec exec_batched ctx ~size (n : P.node) : Batch.t list =
 
 and exec_join_batched ctx ~size (n : P.node) (info : P.join_info) left right :
     Batch.t list =
-  let work0 = ctx.st.work in
-  let probed0 = ctx.st.probed and emitted0 = ctx.st.emitted in
-  let nright = batch_rows right in
-  let nleft = batch_rows left in
-  let right_arr = Array.make nright [||] in
+  let right_arr = Array.make (batch_rows right) [||] in
   let ri = ref 0 in
   List.iter
-    (fun b ->
-      Batch.iter
-        (fun row _ ->
-          right_arr.(!ri) <- row;
-          incr ri)
-        b)
+    (Batch.iter (fun row _ ->
+         right_arr.(!ri) <- row;
+         incr ri))
     right;
-  let plans =
-    List.map
-      (fun (lk, rk) ->
-        if Array.length lk = 0 then `Full
-        else begin
-          let tbl = KeyTbl.create (max 16 nright) in
-          Array.iteri
-            (fun idx row ->
-              let k = Tuple.project rk row in
-              let prev = try KeyTbl.find tbl k with Not_found -> [] in
-              KeyTbl.replace tbl k (idx :: prev))
-            right_arr;
-          `Hash (lk, tbl)
-        end)
-      info.P.disjuncts
-  in
-  let needs_full =
-    List.exists (function `Full -> true | `Hash _ -> false) plans
-  in
-  let null_pad = Tuple.all_null info.P.right_width in
-  let on = Expr.compile_pred info.P.on in
   let bb = bb_create size in
-  let out_rows = ref 0 in
-  let candidates = Hashtbl.create 64 in
-  List.iter
-    (fun lb ->
-      Batch.iter
-        (fun lrow _ ->
-          Hashtbl.reset candidates;
-          if needs_full then
-            for i = 0 to nright - 1 do
-              Hashtbl.replace candidates i ()
-            done
-          else
-            List.iter
-              (function
-                | `Full -> ()
-                | `Hash (lk, tbl) -> (
-                    let k = Tuple.project lk lrow in
-                    match KeyTbl.find_opt tbl k with
-                    | None -> ()
-                    | Some idxs ->
-                        List.iter
-                          (fun i -> Hashtbl.replace candidates i ())
-                          idxs))
-              plans;
-          let matched = ref false in
-          (* Ascending right-row order, as in the tuple path. *)
-          let idxs =
-            Hashtbl.fold (fun i () acc -> i :: acc) candidates []
-            |> List.sort compare
-          in
-          charge ctx `Probe (List.length idxs);
-          List.iter
-            (fun i ->
-              let joined = Tuple.concat lrow right_arr.(i) in
-              if on joined then begin
-                matched := true;
-                charge_emit_row ctx joined;
-                incr out_rows;
-                bb_push bb 0 joined
-              end)
-            idxs;
-          if (not !matched) && info.P.kind = Sql.Left_outer then begin
-            let padded = Tuple.concat lrow null_pad in
-            charge_emit_row ctx padded;
-            incr out_rows;
-            bb_push bb 0 padded
-          end)
-        lb)
-    left;
-  n.P.act_cost <- ctx.st.work - work0;
-  if Obs.Span.tracing () then begin
-    Obs.Span.set_name
-      (if needs_full then "exec.nested-loop" else "exec.hash-join");
-    Obs.Span.add_list
-      [
-        Obs.Attr.string "kind"
-          (match info.P.kind with
-          | Sql.Inner -> "inner"
-          | Sql.Left_outer -> "left-outer");
-        Obs.Attr.int "left_rows" nleft;
-        Obs.Attr.int "right_rows" nright;
-        Obs.Attr.int "out_rows" !out_rows;
-        Obs.Attr.int "probed" (ctx.st.probed - probed0);
-        Obs.Attr.int "emitted" (ctx.st.emitted - emitted0);
-        Obs.Attr.int "work" (ctx.st.work - work0);
-      ];
-    Obs.Metrics.incr ~by:(ctx.st.probed - probed0) "exec.rows_probed";
-    Obs.Metrics.observe "exec.join.out_rows" (float_of_int !out_rows)
-  end;
+  hash_join ctx n info
+    (fun f -> List.iter (Batch.iter (fun row _ -> f row)) left)
+    right_arr (bb_push bb 0);
   bb_finish bb
 
 let exec_plan_batched ctx ~size (p : P.plan) : string array * Batch.t list =

@@ -50,11 +50,39 @@ let analyze db : t =
     (Database.table_names db);
   { by_table }
 
+(* The catalog a database's planners and annotators share: analyzed on
+   first need and kept until the database's version moves.  Entries are
+   weakly keyed by the database, so a dropped database takes its
+   statistics with it.  One lock guards the table and the analysis, so
+   concurrent first callers scan once and all get the same value. *)
+module Memo = Ephemeron.K1.Make (struct
+  type t = Database.t
+
+  let equal = ( == )
+  let hash = Database.id
+end)
+
+let memo : (int * t) Memo.t = Memo.create 8
+let memo_lock = Mutex.create ()
+
+let of_database db =
+  Mutex.protect memo_lock (fun () ->
+      let version = Database.version db in
+      match Memo.find_opt memo db with
+      | Some (v, t) when v = version -> t
+      | _ ->
+          let t = analyze db in
+          Memo.replace memo db (version, t);
+          t)
+
+let copy t = { by_table = Hashtbl.copy t.by_table }
+
 (* Deliberately skew one table's statistics: multiply its row count and
    per-column NDVs by [factor] (clamped to >= 1 row / 1 value).  This is
    the diagnostics test fixture — a stale or wrong catalog entry — that
    `run --diagnose --skew-stats` uses to prove the anomaly detector
-   flags the resulting misestimates. *)
+   flags the resulting misestimates.  It edits [t] in place, so callers
+   skew a {!copy}, never the shared {!of_database} value. *)
 let scale_table t name factor =
   if factor <= 0.0 then invalid_arg "Stats.scale_table: factor must be > 0";
   match Hashtbl.find_opt t.by_table name with

@@ -110,7 +110,9 @@ type counters = {
 type t = {
   db : R.Database.t;
   cfg : config;
-  stats : R.Stats.t;  (* shared catalog; skewed in place by [invalidate] *)
+  stats : R.Stats.t;
+      (* the server's private copy of the catalog, pinned into every
+         prepared statement; skewed in place by [invalidate] *)
   oracle : R.Cost.oracle;
   pool : R.Domain_pool.t;
   statements : S.Middleware.prepared Lru.t;
@@ -152,7 +154,7 @@ let create ?(config = default_config) db =
     invalid_arg "Server.create: domains must be >= 1";
   if config.trace_sample < 0 then
     invalid_arg "Server.create: trace_sample must be >= 0";
-  let stats = R.Stats.analyze db in
+  let stats = R.Stats.copy (R.Stats.of_database db) in
   {
     db;
     cfg = config;
@@ -223,9 +225,8 @@ let tier_metric tier hit =
       (Printf.sprintf "server.cache.%s.%s" tier (if hit then "hit" else "miss"))
 
 (* Statement tier: keyed by the raw RXL source text.  The prepared value
-   shares the server's forced catalog, so execution under tracing never
-   re-analyzes the database and OCaml 5's RacyLazy cannot fire on the
-   pool. *)
+   pins the server's catalog copy, so cost annotations under tracing see
+   an [invalidate ~skew] exactly as admission and greedy planning do. *)
 let statement_of t view =
   match Lru.find t.statements view with
   | Some p ->

@@ -102,8 +102,10 @@ val query :
 
 val invalidate : ?skew:string * float -> t -> unit
 (** Bumps the stats epoch and flushes the plan and result tiers.
-    [skew = (table, factor)] first scales that table's catalog entry in
-    place, modeling a catalog change that makes cached plans stale. *)
+    [skew = (table, factor)] first scales that table's entry in the
+    server's private copy of the catalog — never the database's shared
+    {!Relational.Stats.of_database} value — modeling a catalog change
+    that makes cached plans stale. *)
 
 val handle : t -> Protocol.request -> Protocol.reply
 (** Full protocol dispatcher: {!query} / {!invalidate} / stats report /

@@ -20,9 +20,22 @@ type prepared = {
   tree : View_tree.t;
   labels : Xmlkit.Dtd.multiplicity array;
   stats : R.Stats.t Lazy.t;
-      (* forced only when a plan needs cost annotations (tracing,
-         explain), so plain execution never pays the analyze pass *)
+      (* pinned statistics when already a value; otherwise never forced
+         here — [stats_of] reads the database's shared memo instead *)
 }
+
+(* The statistics plans of [p] are costed against.  An unforced [p.stats]
+   is left alone, so a prepared view shared across domains never races
+   on it; reading the memo costs one analyze per database version. *)
+let stats_of p =
+  match p.stats with
+  | pinned when Lazy.is_val pinned -> Lazy.force pinned
+  | _ -> R.Stats.of_database p.db
+
+let with_skew p skews =
+  let st = R.Stats.copy (stats_of p) in
+  List.iter (fun (table, factor) -> R.Stats.scale_table st table factor) skews;
+  { p with stats = Lazy.from_val st }
 
 let prepare db view =
   Obs.Span.with_span "middleware.prepare" (fun () ->
@@ -35,7 +48,7 @@ let prepare db view =
             Obs.Attr.int "edges" (View_tree.edge_count tree);
             Obs.Attr.int "work" (View_tree.node_count tree);
           ];
-      { db; view; tree; labels; stats = lazy (R.Stats.analyze db) })
+      { db; view; tree; labels; stats = lazy (R.Stats.of_database db) })
 
 let prepare_text db text = prepare db (Rxl_parser.parse text)
 
@@ -60,7 +73,7 @@ let partition_of p strategy =
         | Fully_partitioned -> Partition.fully_partitioned p.tree
         | Edges mask -> Partition.of_mask p.tree mask
         | Greedy params ->
-            let oracle = R.Cost.oracle p.db in
+            let oracle = R.Cost.oracle_with_stats p.db (stats_of p) in
             let result = Planner.gen_plan p.db oracle p.tree p.labels params in
             requests := result.Planner.requests;
             Log.info (fun m -> m "genPlan: %s" (Planner.to_string p.tree result));
@@ -191,7 +204,7 @@ let run_stream_query ~runner ~print_sql ~budget ~profile (p : prepared) i
   if Obs.Span.tracing () then
     (* fill est_rows/est_cost so the plan.physical spans below carry
        estimated vs actual figures per operator *)
-    ignore (R.Cost.annotate ~profile (Lazy.force p.stats) plan);
+    ignore (R.Cost.annotate ~profile (stats_of p) plan);
   let t0 = now_ms () in
   let result =
     try runner ~budget ~profile p.db plan
@@ -235,9 +248,6 @@ let execute ?(style = Sql_gen.Outer_join) ?(reduce = false) ?(budget = 0)
   if Obs.Span.tracing () then Obs.Span.add "domains" (Obs.Attr.Int domains);
   let opts = options_of p ~style ~reduce in
   let streams = Sql_gen.streams p.db p.tree plan opts in
-  (* force the stats lazy before fanning out: concurrent Lazy.force is
-     a race (RacyLazy) in OCaml 5 *)
-  if domains > 1 && Obs.Span.tracing () then ignore (Lazy.force p.stats);
   let print_sql =
     match sql_syntax with
     | `Derived -> R.Sql_print.to_string
@@ -347,7 +357,7 @@ let xml_string_of p (e : execution) : string =
    executed, in which case actual rows/work appear alongside). *)
 let explain_stream (p : prepared) i root_name ~sql (plan : R.Physical.plan)
     ~logical =
-  ignore (R.Cost.annotate (Lazy.force p.stats) plan);
+  ignore (R.Cost.annotate (stats_of p) plan);
   Printf.sprintf
     "-- stream %d (root %s):\n%s\n\nlogical plan:\n%s\nphysical plan:\n%s" i
     root_name sql logical
@@ -430,7 +440,6 @@ let execute_streaming ?(style = Sql_gen.Outer_join) ?(reduce = false)
   end;
   let opts = options_of p ~style ~reduce in
   let streams = Sql_gen.streams p.db p.tree plan opts in
-  if domains > 1 && Obs.Span.tracing () then ignore (Lazy.force p.stats);
   let print_sql =
     match sql_syntax with
     | `Derived -> R.Sql_print.to_string

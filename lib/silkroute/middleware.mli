@@ -14,12 +14,26 @@ type prepared = {
   tree : View_tree.t;
   labels : Xmlkit.Dtd.multiplicity array;
   stats : Relational.Stats.t Lazy.t;
-      (** database statistics for cost annotation; forced only when a
-          plan needs estimates (tracing, explain) *)
+      (** statistics pinned for this view.  {!prepare} leaves it
+          unforced, and the middleware never forces it: read it through
+          {!stats_of}.  A caller pins statistics with [Lazy.from_val]. *)
 }
 
 val prepare : Relational.Database.t -> Rxl.view -> prepared
 val prepare_text : Relational.Database.t -> string -> prepared
+
+val stats_of : prepared -> Relational.Stats.t
+(** The statistics greedy planning, cost annotation and explain use:
+    the pinned value when [stats] already holds one, otherwise the
+    database's shared {!Relational.Stats.of_database} — analyzed on the
+    first need per database version, never at {!prepare}. *)
+
+val with_skew : prepared -> (string * float) list -> prepared
+(** [with_skew p [(table, factor); ...]] pins a private copy of
+    [stats_of p] with each table scaled by {!Relational.Stats.scale_table}
+    — the stale-catalog fixture of [--skew-stats].  Greedy planning,
+    annotation and diagnostics of the result see the skew; the shared
+    catalog does not change. *)
 
 (** How to choose the partition. *)
 type strategy =

@@ -236,6 +236,61 @@ let test_self_join_aliases () =
       "SELECT r1.a AS a, r2.a AS b FROM R AS r1, R AS r2 WHERE (r1.a < r2.a)" in
   Alcotest.(check int) "three pairs" 3 (Relation.cardinality r)
 
+(* The join probe core against the legacy interpreter: duplicate right
+   keys (their ascending order is the output order), an unmatched left
+   row, a residual cross-side ON conjunct that rejects some candidates,
+   and a two-disjunct OR join — on the tuple path and the batched path
+   at two batch sizes, rows, order and counters must all agree. *)
+let join_core_db () =
+  let db = mkdb () in
+  Database.load db "S"
+    [
+      [| i 10; i 1; s "one" |];
+      [| i 11; i 2; s "two" |];
+      [| i 12; i 1; s "x" |];
+      [| i 13; i 1; s "y" |];
+      [| i 14; i 9; s "three" |];
+    ];
+  db
+
+let test_join_core_vs_legacy () =
+  let db = join_core_db () in
+  let select = "SELECT r.a AS a, r.b AS b, q.c AS c, q.d AS d, q.e AS e" in
+  let cases =
+    [
+      ("inner", select ^ " FROM R AS r INNER JOIN S AS q ON (r.a = q.d)", 4);
+      ("left outer", select ^ " FROM R AS r LEFT OUTER JOIN S AS q ON (r.a = q.d)", 5);
+      ( "residual",
+        select ^ " FROM R AS r LEFT OUTER JOIN S AS q ON ((r.a = q.d) AND (r.b <> q.e))",
+        4 );
+      ( "or",
+        select
+        ^ " FROM R AS r LEFT OUTER JOIN S AS q \
+           ON (((r.a = q.d) AND (q.c < 13)) OR (r.b = q.e))",
+        4 );
+    ]
+  in
+  let rows r = List.map Tuple.to_string (Relation.rows r) in
+  List.iter
+    (fun (name, text, expected) ->
+      let q = Sql_parser.parse text in
+      let lr, ls = Executor.run_legacy_with_stats db q in
+      Alcotest.(check int) (name ^ ": legacy rows") expected (Relation.cardinality lr);
+      List.iter
+        (fun batch_size ->
+          let label =
+            match batch_size with
+            | None -> name ^ " tuple"
+            | Some n -> Printf.sprintf "%s batch %d" name n
+          in
+          let r, st = Executor.run_with_stats ?batch_size db q in
+          Alcotest.(check (list string)) (label ^ ": rows in order") (rows lr) (rows r);
+          Alcotest.(check int) (label ^ ": work") ls.Executor.work st.Executor.work;
+          Alcotest.(check int) (label ^ ": probed") ls.Executor.probed st.Executor.probed;
+          Alcotest.(check int) (label ^ ": emitted") ls.Executor.emitted st.Executor.emitted)
+        [ None; Some 1; Some 2 ])
+    cases
+
 let suite =
   [
     Alcotest.test_case "scan + project" `Quick test_scan_project;
@@ -262,6 +317,7 @@ let suite =
     Alcotest.test_case "spill accounting" `Quick test_spill_accounting;
     Alcotest.test_case "cross product" `Quick test_cross_product_without_condition;
     Alcotest.test_case "three-table join chain" `Quick test_join_chain_three_tables;
+    Alcotest.test_case "join core vs legacy" `Quick test_join_core_vs_legacy;
   ]
 
 (* Property: hash join with OR-expansion agrees with a reference

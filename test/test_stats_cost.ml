@@ -133,11 +133,80 @@ let test_estimate_tracks_actual_within_oom () =
     true
     (ratio > 0.01 && ratio < 100.0)
 
+(* The shared catalog is memoized per database version: repeat calls
+   hand out the same value, mutations are seen on the next call. *)
+let test_memo_follows_version () =
+  let db = mkdb () in
+  let st = Stats.of_database db in
+  Alcotest.(check bool) "same value without mutation" true
+    (st == Stats.of_database db);
+  Alcotest.(check int) "R rows" 100 (Stats.row_count st "R");
+  Database.insert db "R"
+    (List.init 10 (fun k -> [| i (100 + k); i (10 + (k mod 5)); Value.Null |]));
+  let st' = Stats.of_database db in
+  Alcotest.(check int) "inserted rows counted" 110 (Stats.row_count st' "R");
+  (match Stats.column st' "R" "b" with
+  | Some c -> Alcotest.(check int) "new b values counted" 15 c.Stats.distinct
+  | None -> Alcotest.fail "no stats");
+  Alcotest.(check int) "old value untouched" 100 (Stats.row_count st "R");
+  Database.load db "T" [ [| i 0; i 0 |] ];
+  Alcotest.(check int) "load seen" 1 (Stats.row_count (Stats.of_database db) "T");
+  Database.add_table db
+    (Schema.table "U" ~key:[] [ Schema.column "u" Value.TInt ]);
+  Alcotest.(check int) "new table seen" 0 (Stats.row_count (Stats.of_database db) "U")
+
+let test_memo_shared_across_domains () =
+  let db = mkdb () in
+  let go = Atomic.make false in
+  let workers =
+    List.init 4 (fun _ ->
+        Domain.spawn (fun () ->
+            while not (Atomic.get go) do
+              Domain.cpu_relax ()
+            done;
+            Stats.of_database db))
+  in
+  Atomic.set go true;
+  match List.map Domain.join workers with
+  | first :: rest ->
+      List.iter
+        (fun st -> Alcotest.(check bool) "physically equal" true (st == first))
+        rest;
+      Alcotest.(check bool) "and the later caller's" true
+        (first == Stats.of_database db)
+  | [] -> assert false
+
+(* Skew fixtures act on private copies: the database's shared catalog
+   reads exactly like a fresh analyze afterwards. *)
+let test_skew_leaves_shared_catalog () =
+  let db = Tpch.Gen.generate (Tpch.Gen.config 0.02) in
+  let render st = Format.asprintf "%a" Stats.pp st in
+  let shared = Stats.of_database db in
+  let suppliers = Stats.row_count shared "Supplier" in
+  let p = Silkroute.Middleware.prepare_text db Silkroute.Queries.query1_text in
+  let skewed = Silkroute.Middleware.with_skew p [ ("Supplier", 64.0) ] in
+  Alcotest.(check int) "skew applied" (64 * suppliers)
+    (Stats.row_count (Silkroute.Middleware.stats_of skewed) "Supplier");
+  Alcotest.(check int) "original view unskewed" suppliers
+    (Stats.row_count (Silkroute.Middleware.stats_of p) "Supplier");
+  Alcotest.(check bool) "shared value kept" true (shared == Stats.of_database db);
+  Alcotest.(check string) "after CLI skew" (render (Stats.analyze db))
+    (render (Stats.of_database db));
+  let t = Server.Service.create db in
+  Fun.protect
+    ~finally:(fun () -> Server.Service.shutdown t)
+    (fun () -> Server.Service.invalidate ~skew:("Supplier", 8.0) t);
+  Alcotest.(check string) "after server skew" (render (Stats.analyze db))
+    (render (Stats.of_database db))
+
 let suite =
   [
     Alcotest.test_case "analyze: row counts" `Quick test_analyze_row_counts;
     Alcotest.test_case "analyze: distinct values" `Quick test_analyze_ndv;
     Alcotest.test_case "analyze: null fraction" `Quick test_analyze_null_fraction;
+    Alcotest.test_case "memo follows version" `Quick test_memo_follows_version;
+    Alcotest.test_case "memo shared across domains" `Quick test_memo_shared_across_domains;
+    Alcotest.test_case "skew leaves shared catalog" `Quick test_skew_leaves_shared_catalog;
     Alcotest.test_case "missing table" `Quick test_missing_table;
     Alcotest.test_case "estimate: scan" `Quick test_scan_estimate;
     Alcotest.test_case "estimate: filter selectivity" `Quick test_filter_selectivity;
