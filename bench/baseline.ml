@@ -86,11 +86,11 @@ let run_all () =
         let r =
           {
             experiment = Printf.sprintf "%s:greedy:streaming" qname;
-            streams = List.length se.S.Middleware.cursors;
-            work = se.S.Middleware.s_work;
-            rows = se.S.Middleware.s_tuples;
-            bytes = se.S.Middleware.s_bytes;
-            transfer_ms = se.S.Middleware.s_transfer_ms;
+            streams = List.length se.S.Middleware.streams;
+            work = se.S.Middleware.work;
+            rows = se.S.Middleware.tuples;
+            bytes = se.S.Middleware.bytes;
+            transfer_ms = se.S.Middleware.transfer_ms;
           }
         in
         ignore (S.Middleware.xml_string_of_streaming p se);

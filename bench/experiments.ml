@@ -578,13 +578,12 @@ let resilience () =
           ~retry:{ R.Backend.default_retry with R.Backend.max_retries = 8 }
           ~budget db
       in
-      let r = S.Middleware.execute_resilient ~backend p unified in
-      let se = r.S.Middleware.r_streaming in
+      let se = S.Middleware.execute_streaming ~backend p unified in
       let xml = S.Middleware.xml_string_of_streaming p se in
-      let res = r.S.Middleware.r_resilience in
+      let res = se.S.Middleware.resilience in
       let total =
-        sim_query_ms (se.S.Middleware.s_work + res.S.Middleware.r_wasted_work)
-        +. se.S.Middleware.s_transfer_ms +. res.S.Middleware.r_backoff_ms
+        sim_query_ms (se.S.Middleware.work + res.S.Middleware.r_wasted_work)
+        +. se.S.Middleware.transfer_ms +. res.S.Middleware.r_backoff_ms
       in
       Printf.printf "%6.2f %8d %8d %8d %8d %9.1f %10d %11.1f %10s\n" rate
         res.S.Middleware.r_attempts res.S.Middleware.r_retries
@@ -635,7 +634,7 @@ let scaling () =
     "speedup" "work" "tuples" "identical";
   List.iter
     (fun d ->
-      let e = S.Middleware.execute_parallel ~domains:d p plan in
+      let e = S.Middleware.execute ~domains:d p plan in
       let xml = S.Middleware.xml_string_of p e in
       let identical =
         xml = seq_xml

@@ -349,50 +349,37 @@ let run_cmd query view_file scale seed schema data strategy no_reduce pretty
     if diagnose then prerr_string (Obs.Diagnose.report samples)
   in
   let plan = S.Middleware.partition_of p (parse_strategy strategy) in
-  if resilient then begin
+  if stream || resilient then begin
+    (* --stream is a resilient run over a fault-free backend *)
     let backend =
       R.Backend.create
         ~faults:(R.Backend.faults ~seed:fault_seed fault_rate)
         ~retry:{ R.Backend.default_retry with R.Backend.max_retries = retries }
         ~budget ?batch_size p.S.Middleware.db
     in
-    let r =
-      S.Middleware.execute_resilient ~reduce:(not no_reduce) ~backend ~domains
+    let se =
+      S.Middleware.execute_streaming ~reduce:(not no_reduce) ~backend ~domains
         p plan
     in
-    let se = r.S.Middleware.r_streaming in
-    if explain then prerr_endline (S.Middleware.explain_streaming p se);
-    S.Middleware.stream_to_channel p se stdout;
-    print_newline ();
-    let res = r.S.Middleware.r_resilience in
-    Printf.eprintf
-      "[%d stream(s), %d tuples, %d work units, %.1f ms transfer, resilient]\n"
-      (List.length se.S.Middleware.cursors)
-      se.S.Middleware.s_tuples se.S.Middleware.s_work
-      se.S.Middleware.s_transfer_ms;
-    Printf.eprintf
-      "[resilience: %d submits, %d attempts, %d retries, %d faults, %d \
-       timeouts, %d degraded, %.1f ms backoff, %d wasted work]\n"
-      res.S.Middleware.r_submits res.S.Middleware.r_attempts
-      res.S.Middleware.r_retries res.S.Middleware.r_faults
-      res.S.Middleware.r_timeouts res.S.Middleware.r_degraded
-      res.S.Middleware.r_backoff_ms res.S.Middleware.r_wasted_work;
-    diagnose_report (S.Middleware.diagnose_samples_streaming p se)
-  end
-  else if stream then begin
-    let se =
-      S.Middleware.execute_streaming ~reduce:(not no_reduce) ~budget ~domains
-        ?batch_size p plan
-    in
-    if explain then prerr_endline (S.Middleware.explain_streaming p se);
+    if explain then prerr_endline (S.Middleware.explain_execution p se);
     S.Middleware.stream_to_channel p se stdout;
     print_newline ();
     Printf.eprintf
-      "[%d stream(s), %d tuples, %d work units, %.1f ms transfer, streamed]\n"
-      (List.length se.S.Middleware.cursors)
-      se.S.Middleware.s_tuples se.S.Middleware.s_work
-      se.S.Middleware.s_transfer_ms;
-    diagnose_report (S.Middleware.diagnose_samples_streaming p se)
+      "[%d stream(s), %d tuples, %d work units, %.1f ms transfer, %s]\n"
+      (List.length se.S.Middleware.streams)
+      se.S.Middleware.tuples se.S.Middleware.work se.S.Middleware.transfer_ms
+      (if resilient then "resilient" else "streamed");
+    if resilient then begin
+      let res = se.S.Middleware.resilience in
+      Printf.eprintf
+        "[resilience: %d submits, %d attempts, %d retries, %d faults, %d \
+         timeouts, %d degraded, %.1f ms backoff, %d wasted work]\n"
+        res.S.Middleware.r_submits res.S.Middleware.r_attempts
+        res.S.Middleware.r_retries res.S.Middleware.r_faults
+        res.S.Middleware.r_timeouts res.S.Middleware.r_degraded
+        res.S.Middleware.r_backoff_ms res.S.Middleware.r_wasted_work
+    end;
+    diagnose_report (S.Middleware.diagnose_samples p se)
   end
   else begin
     let e =

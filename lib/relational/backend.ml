@@ -183,6 +183,7 @@ let create ?(faults = no_faults) ?(retry = default_retry)
 
 let db t = t.database
 let clock t = t.clk
+let profile t = t.profile
 let stats t = { t.st with submits = t.st.submits }
 
 (* An independent connection derived from [t] for one parallel stream:
@@ -207,8 +208,6 @@ let fork t ~salt =
     st = new_stats ();
     breaker_state = Closed 0;
   }
-
-let with_batch_size t batch_size = { t with batch_size }
 
 let merge_stats sts =
   let m = new_stats () in
@@ -322,7 +321,8 @@ let wrap_cursor t ~attempt ~trip_after cur =
   Cursor.create (Cursor.cols cur) pull
 
 (* One physical attempt: breaker gate, fault draw, engine run. *)
-let submit_attempt t ~attempt (q : Sql.query) : Cursor.t * Executor.stats =
+let submit_attempt t ~attempt (plan : Physical.plan) :
+    Cursor.t * Executor.stats =
   check_breaker t;
   t.st.attempts <- t.st.attempts + 1;
   (* Fault draws are consumed in a fixed order so the stream replays
@@ -378,8 +378,8 @@ let submit_attempt t ~attempt (q : Sql.query) : Cursor.t * Executor.stats =
     else None
   in
   match
-    Executor.run_cursor_with_stats ~budget:t.budget ~profile:t.profile
-      ?batch_size:t.batch_size t.database q
+    Executor.run_plan_cursor_with_stats ~budget:t.budget ~profile:t.profile
+      ?batch_size:t.batch_size t.database plan
   with
   | cur, est -> (wrap_cursor t ~attempt ~trip_after cur, est)
   | exception Executor.Timeout ->
@@ -405,9 +405,6 @@ let submit_attempt t ~attempt (q : Sql.query) : Cursor.t * Executor.stats =
                Printf.sprintf "work budget (%d units) exhausted" t.budget;
            })
 
-let submit_with_stats t q = submit_attempt t ~attempt:1 q
-let submit t q = fst (submit_with_stats t q)
-
 (* --- resilient submission ----------------------------------------------- *)
 
 let backoff_ms t ~attempt =
@@ -421,7 +418,7 @@ let backoff_ms t ~attempt =
   capped *. (1.0 -. t.retry.jitter +. (2.0 *. t.retry.jitter *. u))
 
 let execute ?(label = "") ?(on_attempt = fun (_ : int) -> ())
-    ?(on_row = fun (_ : Tuple.t) -> ()) t (q : Sql.query) :
+    ?(on_row = fun (_ : Tuple.t) -> ()) t (plan : Physical.plan) :
     Cursor.t * Executor.stats =
   t.st.submits <- t.st.submits + 1;
   let rec attempt k =
@@ -431,7 +428,7 @@ let execute ?(label = "") ?(on_attempt = fun (_ : int) -> ())
           if Obs.Span.tracing () then
             Obs.Span.add_list
               [ Obs.Attr.string "label" label; Obs.Attr.int "attempt" k ];
-          match submit_attempt t ~attempt:k q with
+          match submit_attempt t ~attempt:k plan with
           | cur, est -> (
               (* Drain now, inside the retry scope: a mid-stream drop
                  surfaces here, discards the partial spool, and is

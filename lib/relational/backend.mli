@@ -91,8 +91,8 @@ exception
   }
 
 exception Circuit_open of { retry_at_ms : float }
-(** Raised by a single-attempt {!submit} while the breaker is open;
-    [retry_at_ms] is the clock time at which it half-opens. *)
+(** An attempt hit the open breaker; [retry_at_ms] is the clock time at
+    which it half-opens.  {!execute} waits it out on the clock. *)
 
 (** Cumulative counters; all deterministic for a fixed seed.
     [wasted_work] is the engine work burned by failed attempts
@@ -137,6 +137,9 @@ val create :
 val db : t -> Database.t
 val clock : t -> clock
 
+val profile : t -> Executor.profile
+(** The cost profile every submission runs under. *)
+
 val stats : t -> stats
 (** A snapshot copy (callers may diff two snapshots). *)
 
@@ -154,29 +157,18 @@ val fork : t -> salt:int -> t
 val merge_stats : stats list -> stats
 (** Field-wise sum — aggregate per-fork counters into one report. *)
 
-val with_batch_size : t -> int option -> t
-(** The same connection (shared stats, clock and fault stream) with the
-    submission batch size replaced; [None] restores the tuple path. *)
-
-val submit : t -> Sql.query -> Cursor.t
-(** One physical attempt, no retry: submits [q] to the engine and
-    returns a cursor over its sorted output.  Raises {!Backend_error}
-    on an injected submit fault or a budget timeout, {!Circuit_open}
-    when the breaker is open; the returned cursor itself may raise
-    {!Backend_error} mid-stream (an injected connection drop). *)
-
-val submit_with_stats : t -> Sql.query -> Cursor.t * Executor.stats
-
 val execute :
   ?label:string ->
   ?on_attempt:(int -> unit) ->
   ?on_row:(Tuple.t -> unit) ->
   t ->
-  Sql.query ->
+  Physical.plan ->
   Cursor.t * Executor.stats
-(** Resilient submission: retries transient failures (submit faults and
-    mid-stream drops) with exponential backoff up to the retry budget,
-    waits out an open breaker on the clock, and spools the winning
+(** Resilient submission of a planned query: every physical attempt
+    runs [plan] ({!Executor.run_plan_cursor_with_stats}), so the winning
+    attempt leaves its actual rows/work on the plan's nodes.  Retries
+    transient failures (submit faults and mid-stream drops) with
+    exponential backoff up to the retry budget, waits out an open breaker on the clock, and spools the winning
     attempt's rows ({!Cursor.spool}) so the returned cursor is complete
     and failure-free.  [on_attempt] fires at the start of every physical
     attempt (the hook for resetting per-attempt accounting);

@@ -92,20 +92,36 @@ let options_of p ~style ~reduce =
   { Sql_gen.style; labels = (if reduce then Some p.labels else None) }
 
 (* Per-stream breakdown: every sub-query of a partition gets its own
-   stats record, so the execution result can show where inside a plan the
-   work went (the aggregate fields below are sums over this list). *)
+   record, so the result can show where inside a plan the work went (the
+   aggregate fields of [run] are sums over these). *)
 type stream_exec = {
   se_stream : Sql_gen.stream;
-  se_relation : R.Relation.t;
   se_sql : string;
   se_plan : R.Physical.plan;
   se_stats : R.Executor.stats;
   se_wall_ms : float;
+  se_rows : int;
+  se_bytes : int;
+  se_transfer_ms : float;
 }
 
-(* Result of running one plan. *)
-type execution = {
-  streams : (Sql_gen.stream * R.Relation.t) list;
+(* What resilience cost: counters summed over the per-stream forked
+   backends, plus the number of streams that had to be degraded. *)
+type resilience = {
+  r_submits : int;
+  r_attempts : int;
+  r_retries : int;
+  r_faults : int;
+  r_timeouts : int;
+  r_degraded : int;
+  r_backoff_ms : float;
+  r_wasted_work : int;
+}
+
+(* Result of running one plan; ['a] is what each stream's rows are held
+   in — a relation or a spooled cursor. *)
+type 'a run = {
+  streams : (Sql_gen.stream * 'a) list;
   per_stream : stream_exec list; (* one entry per sub-query, in plan order *)
   sql_texts : string list;
   query_wall_ms : float; (* measured engine time *)
@@ -113,7 +129,11 @@ type execution = {
   work : int; (* deterministic engine work units *)
   tuples : int;
   bytes : int;
+  resilience : resilience;
 }
+
+type execution = R.Relation.t run
+type streaming = R.Cursor.t run
 
 let total_wall_ms e = e.query_wall_ms +. e.transfer_ms
 
@@ -134,6 +154,10 @@ exception Plan_timeout of timeout_info
 
 let now_ms () = Unix.gettimeofday () *. 1000.0
 
+let root_name_of p (s : Sql_gen.stream) =
+  View_tree.skolem_name
+    (View_tree.node p.tree s.Sql_gen.fragment.Partition.root).View_tree.sfi
+
 (* --- parallel fan-out --------------------------------------------------- *)
 
 (* Run [f i x] over the indexed [xs] — sequentially when [domains <= 1]
@@ -143,7 +167,7 @@ let now_ms () = Unix.gettimeofday () *. 1000.0
    affect the XML.
 
    Failure contract: in both modes every already-completed result is
-   passed to [on_partial] (the hook where the streaming paths close
+   passed to [on_partial] (the hook where the streaming path closes
    spooled cursors, fixing the abandoned-spool leak) before the
    exception re-raises.  In parallel mode all submitted tasks are
    awaited first — a worker cannot still be running a task whose
@@ -183,612 +207,258 @@ let map_streams ~domains ~on_partial f xs =
             on_partial completed;
             Printexc.raise_with_backtrace e bt)
 
-(* Shared by the materialized and streaming paths: run one sub-query
-   through the SQL text round-trip, mapping an engine [Timeout] to
-   [Plan_timeout] with the stream's position and fragment root, and
-   marking the enclosing span so traces show which sub-query blew the
-   budget.  The physical plan is built explicitly here (rather than
-   letting the executor plan internally) so it can carry cost
-   annotations and actual row/work figures out to traces and
-   [--explain]. *)
-let run_stream_query ~runner ~print_sql ~budget ~profile (p : prepared) i
-    (s : Sql_gen.stream) =
-  let text = print_sql s.Sql_gen.query in
-  let root_name =
-    View_tree.skolem_name
-      (View_tree.node p.tree s.Sql_gen.fragment.Partition.root).View_tree.sfi
-  in
-  (* round-trip through the SQL text interface, as the middleware does *)
-  let ast = R.Sql_parser.parse text in
-  let plan = R.Physical.plan_of p.db ast in
-  if Obs.Span.tracing () then
-    (* fill est_rows/est_cost so the plan.physical spans below carry
-       estimated vs actual figures per operator *)
-    ignore (R.Cost.annotate ~profile (stats_of p) plan);
-  let t0 = now_ms () in
-  let result =
-    try runner ~budget ~profile p.db plan
-    with R.Executor.Timeout ->
-      let elapsed = now_ms () -. t0 in
-      if Obs.Span.tracing () then begin
-        Obs.Span.add_list
-          [
-            Obs.Attr.bool "timeout" true;
-            Obs.Attr.int "timeout.stream" i;
-            Obs.Attr.string "timeout.root" root_name;
-            Obs.Attr.float "timeout.elapsed_ms" elapsed;
-          ];
-        Obs.Event.error "middleware.plan_timeout"
-          ~attrs:
-            [
-              Obs.Attr.int "stream" i;
-              Obs.Attr.string "root" root_name;
-              Obs.Attr.float "elapsed_ms" elapsed;
-            ];
-        Obs.Event.dump ~reason:"plan-timeout"
-      end;
-      raise
-        (Plan_timeout
-           {
-             timeout_sql = text;
-             timeout_stream = i;
-             timeout_root = root_name;
-             timeout_elapsed_ms = elapsed;
-           })
-  in
-  let t1 = now_ms () in
-  R.Physical.emit_obs_spans plan;
-  (text, root_name, plan, result, t1 -. t0)
+(* --- the execution core ------------------------------------------------- *)
 
-let execute ?(style = Sql_gen.Outer_join) ?(reduce = false) ?(budget = 0)
-    ?(profile = R.Executor.default_profile) ?(transfer = R.Transfer.default)
-    ?(sql_syntax = `Derived) ?(domains = 1) ?batch_size (p : prepared)
-    (plan : Partition.t) : execution =
- Obs.Span.with_span "middleware.execute" (fun () ->
-  if Obs.Span.tracing () then Obs.Span.add "domains" (Obs.Attr.Int domains);
-  let opts = options_of p ~style ~reduce in
-  let streams = Sql_gen.streams p.db p.tree plan opts in
-  let print_sql =
-    match sql_syntax with
-    | `Derived -> R.Sql_print.to_string
-    | `With -> R.Sql_print.to_with_string
-  in
-  let run i (s : Sql_gen.stream) : stream_exec =
-    Obs.Span.with_span "execute.stream" (fun () ->
-        let text, root_name, phys, (rel, stats), wall_ms =
-          run_stream_query
-            ~runner:(fun ~budget ~profile db plan ->
-              R.Executor.run_plan_with_stats ~budget ~profile ?batch_size db
-                plan)
-            ~print_sql ~budget ~profile p i s
-        in
-        Log.debug (fun m ->
-            m "stream: %d rows, %d work units, %.1f ms — %s"
-              (R.Relation.cardinality rel) stats.R.Executor.work wall_ms
-              (if String.length text > 80 then String.sub text 0 80 ^ "…"
-               else text));
-        if Obs.Span.tracing () then begin
-          let rows = R.Relation.cardinality rel in
-          let bytes = R.Relation.wire_size rel in
-          Obs.Span.add_list
-            [
-              Obs.Attr.int "index" i;
-              Obs.Attr.string "root" root_name;
-              Obs.Attr.int "rows" rows;
-              Obs.Attr.int "bytes" bytes;
-              Obs.Attr.int "work" stats.R.Executor.work;
-            ];
-          Obs.Metrics.incr "execute.streams";
-          Obs.Metrics.observe "execute.stream.work"
-            (float_of_int stats.R.Executor.work);
-          Obs.Metrics.observe "execute.stream.rows" (float_of_int rows);
-          Obs.Metrics.observe "execute.stream.bytes" (float_of_int bytes)
-        end;
-        {
-          se_stream = s;
-          se_relation = rel;
-          se_sql = text;
-          se_plan = phys;
-          se_stats = stats;
-          se_wall_ms = wall_ms;
-        })
-  in
-  let per_stream =
-    map_streams ~domains ~on_partial:(fun (_ : stream_exec list) -> ()) run
-      streams
-  in
-  let streams_rels =
-    List.map (fun se -> (se.se_stream, se.se_relation)) per_stream
-  in
-  let work =
-    List.fold_left (fun acc se -> acc + se.se_stats.R.Executor.work) 0 per_stream
-  in
-  let tuples =
-    List.fold_left
-      (fun acc (_, rel) -> acc + R.Relation.cardinality rel)
-      0 streams_rels
-  in
-  let bytes =
-    List.fold_left
-      (fun acc (_, rel) -> acc + R.Relation.wire_size rel)
-      0 streams_rels
-  in
-  if Obs.Span.tracing () then
-    Obs.Span.add_list
-      [
-        Obs.Attr.int "streams" (List.length per_stream);
-        Obs.Attr.int "tuples" tuples;
-        Obs.Attr.int "bytes" bytes;
-        Obs.Attr.int "work" work;
-      ];
+(* How one sub-query's physical plan reaches the engine — the only thing
+   that differs between {!execute} and {!execute_streaming}.  [submit]
+   returns the rows, the engine stats, and the delivered rows' (count,
+   wire bytes, modeled transfer ms). *)
+type 'a submitter = {
+  submit :
+    label:string ->
+    R.Physical.plan ->
+    'a * R.Executor.stats * (int * int * float);
+  profile : R.Executor.profile; (* the engine's, for cost annotation *)
+  backend : R.Backend.t option;
+      (* a spooling connection: it retries transient failures itself,
+         and a persistent one degrades the fragment *)
+}
+
+(* The engine called in-process; the rows stay a relation. *)
+let direct ~budget ~profile ?batch_size db =
   {
-    streams = streams_rels;
-    per_stream;
-    sql_texts = List.map (fun se -> se.se_sql) per_stream;
-    query_wall_ms =
-      List.fold_left (fun acc se -> acc +. se.se_wall_ms) 0.0 per_stream;
-    transfer_ms = R.Transfer.relations_ms transfer (List.map snd streams_rels);
-    work;
-    tuples;
-    bytes;
-  })
-
-(* Parallel sub-query fan-out: [execute] with a required domain count.
-   Each plan fragment's sub-query runs on its own pool domain; the
-   k-way merge-tagger tie-breaks by plan order, so the XML and all
-   deterministic accounting are byte-identical to [execute] at any
-   domain count. *)
-let execute_parallel ?style ?reduce ?budget ?profile ?transfer ?sql_syntax
-    ?batch_size ~domains p plan =
-  execute ?style ?reduce ?budget ?profile ?transfer ?sql_syntax ~domains
-    ?batch_size p plan
-
-let document_of p (e : execution) : Xmlkit.Xml.t =
-  Tagger.to_document p.tree e.streams
-
-let xml_string_of p (e : execution) : string =
-  Tagger.to_string p.tree e.streams
-
-(* --- explain ----------------------------------------------------------- *)
-
-(* Pretty-print one stream's three representations: the SQL text the
-   middleware ships, the rewritten logical algebra, and the physical
-   plan with its cost annotations (estimates only unless the plan was
-   executed, in which case actual rows/work appear alongside). *)
-let explain_stream (p : prepared) i root_name ~sql (plan : R.Physical.plan)
-    ~logical =
-  ignore (R.Cost.annotate (stats_of p) plan);
-  Printf.sprintf
-    "-- stream %d (root %s):\n%s\n\nlogical plan:\n%s\nphysical plan:\n%s" i
-    root_name sql logical
-    (R.Physical.to_string plan)
-
-let root_name_of p (s : Sql_gen.stream) =
-  View_tree.skolem_name
-    (View_tree.node p.tree s.Sql_gen.fragment.Partition.root).View_tree.sfi
-
-let explain ?(style = Sql_gen.Outer_join) ?(reduce = false) (p : prepared)
-    (plan : Partition.t) : string =
-  let opts = options_of p ~style ~reduce in
-  let streams = Sql_gen.streams p.db p.tree plan opts in
-  String.concat "\n\n"
-    (List.mapi
-       (fun i (s : Sql_gen.stream) ->
-         let text = R.Sql_print.to_pretty_string s.Sql_gen.query in
-         (* round-trip through the text interface, exactly like
-            execution, so the explained tree is the executed tree *)
-         let ast = R.Sql_parser.parse (R.Sql_print.to_string s.Sql_gen.query) in
-         let alg = R.Algebra.rewrite (R.Algebra.lower p.db ast) in
-         let phys = R.Physical.of_algebra alg in
-         explain_stream p (i + 1) (root_name_of p s) ~sql:text phys
-           ~logical:(R.Algebra.to_string alg))
-       streams)
-
-let explain_execution (p : prepared) (e : execution) : string =
-  String.concat "\n\n"
-    (List.mapi
-       (fun i (se : stream_exec) ->
-         let ast = R.Sql_parser.parse se.se_sql in
-         let alg = R.Algebra.rewrite (R.Algebra.lower p.db ast) in
-         explain_stream p (i + 1)
-           (root_name_of p se.se_stream)
-           ~sql:se.se_sql se.se_plan ~logical:(R.Algebra.to_string alg))
-       e.per_stream)
-
-(* --- streaming execution ----------------------------------------------- *)
-
-(* Per-stream breakdown of a streaming execution: stats are complete
-   (the engine has run and the rows are spooled), but the rows
-   themselves are only reachable through the cursor. *)
-type stream_cursor = {
-  sc_stream : Sql_gen.stream;
-  sc_cursor : R.Cursor.t;
-  sc_sql : string;
-  sc_plan : R.Physical.plan;
-  sc_stats : R.Executor.stats;
-  sc_wall_ms : float;
-  sc_rows : int;
-  sc_bytes : int;
-  sc_transfer_ms : float;
-}
-
-type streaming = {
-  cursors : (Sql_gen.stream * R.Cursor.t) list;
-  s_per_stream : stream_cursor list;
-  s_sql_texts : string list;
-  s_query_wall_ms : float;
-  s_transfer_ms : float;
-  s_work : int;
-  s_tuples : int;
-  s_bytes : int;
-}
-
-(* Releasing spooled cursors of streams that completed before a later
-   stream failed: without this, a Plan_timeout mid-plan left every
-   earlier stream's spool file on disk until process exit. *)
-let close_stream_cursors (scs : stream_cursor list) =
-  List.iter (fun sc -> R.Cursor.close sc.sc_cursor) scs
-
-let execute_streaming ?(style = Sql_gen.Outer_join) ?(reduce = false)
-    ?(budget = 0) ?(profile = R.Executor.default_profile)
-    ?(transfer = R.Transfer.default) ?(sql_syntax = `Derived) ?(domains = 1)
-    ?batch_size (p : prepared) (plan : Partition.t) : streaming =
- Obs.Span.with_span "middleware.execute" (fun () ->
-  if Obs.Span.tracing () then begin
-    Obs.Span.add "mode" (Obs.Attr.String "streaming");
-    Obs.Span.add "domains" (Obs.Attr.Int domains)
-  end;
-  let opts = options_of p ~style ~reduce in
-  let streams = Sql_gen.streams p.db p.tree plan opts in
-  let print_sql =
-    match sql_syntax with
-    | `Derived -> R.Sql_print.to_string
-    | `With -> R.Sql_print.to_with_string
-  in
-  let run i (s : Sql_gen.stream) : stream_cursor =
-    Obs.Span.with_span "execute.stream" (fun () ->
-        let text, root_name, phys, (cur, stats), wall_ms =
-          run_stream_query
-            ~runner:(fun ~budget ~profile db plan ->
-              R.Executor.run_plan_cursor_with_stats ~budget ~profile ?batch_size
-                db plan)
-            ~print_sql ~budget ~profile p i s
+    submit =
+      (fun ~label:_ plan ->
+        let rel, stats =
+          R.Executor.run_plan_with_stats ~budget ~profile ?batch_size db plan
         in
-        (* Spool the sorted rows out of the heap, accounting rows, bytes
-           and modeled transfer per tuple as they pass — nothing below
-           retains the result list. *)
-        let rows = ref 0 and bytes = ref 0 in
-        let transfer_ms = ref transfer.R.Transfer.per_stream_overhead in
-        let spooled =
-          R.Cursor.spool
-            ~on_row:(fun t ->
-              incr rows;
-              bytes := !bytes + R.Tuple.wire_size t;
-              transfer_ms := !transfer_ms +. R.Transfer.tuple_ms transfer t)
-            cur
-        in
-        Log.debug (fun m ->
-            m "stream (spooled): %d rows, %d work units, %.1f ms — %s" !rows
-              stats.R.Executor.work wall_ms
-              (if String.length text > 80 then String.sub text 0 80 ^ "…"
-               else text));
-        if Obs.Span.tracing () then begin
-          Obs.Span.add_list
-            [
-              Obs.Attr.int "index" i;
-              Obs.Attr.string "root" root_name;
-              Obs.Attr.int "rows" !rows;
-              Obs.Attr.int "bytes" !bytes;
-              Obs.Attr.int "work" stats.R.Executor.work;
-              Obs.Attr.bool "spooled" true;
-            ];
-          Obs.Metrics.incr "execute.streams";
-          Obs.Metrics.observe "execute.stream.work"
-            (float_of_int stats.R.Executor.work);
-          Obs.Metrics.observe "execute.stream.rows" (float_of_int !rows);
-          Obs.Metrics.observe "execute.stream.bytes" (float_of_int !bytes)
-        end;
-        {
-          sc_stream = s;
-          sc_cursor = spooled;
-          sc_sql = text;
-          sc_plan = phys;
-          sc_stats = stats;
-          sc_wall_ms = wall_ms;
-          sc_rows = !rows;
-          sc_bytes = !bytes;
-          sc_transfer_ms = !transfer_ms;
-        })
-  in
-  let per_stream =
-    map_streams ~domains ~on_partial:close_stream_cursors run streams
-  in
-  let work =
-    List.fold_left
-      (fun acc sc -> acc + sc.sc_stats.R.Executor.work)
-      0 per_stream
-  in
-  let tuples = List.fold_left (fun acc sc -> acc + sc.sc_rows) 0 per_stream in
-  let bytes = List.fold_left (fun acc sc -> acc + sc.sc_bytes) 0 per_stream in
-  if Obs.Span.tracing () then
-    Obs.Span.add_list
-      [
-        Obs.Attr.int "streams" (List.length per_stream);
-        Obs.Attr.int "tuples" tuples;
-        Obs.Attr.int "bytes" bytes;
-        Obs.Attr.int "work" work;
-      ];
+        ( rel,
+          stats,
+          ( R.Relation.cardinality rel,
+            R.Relation.wire_size rel,
+            R.Transfer.relation_ms R.Transfer.default rel ) ));
+    profile;
+    backend = None;
+  }
+
+(* A backend connection: rows are spooled out of the heap by the winning
+   attempt and accounted per tuple as they pass. *)
+let spooled backend =
+  let transfer = R.Transfer.default in
   {
-    cursors = List.map (fun sc -> (sc.sc_stream, sc.sc_cursor)) per_stream;
-    s_per_stream = per_stream;
-    s_sql_texts = List.map (fun sc -> sc.sc_sql) per_stream;
-    s_query_wall_ms =
-      List.fold_left (fun acc sc -> acc +. sc.sc_wall_ms) 0.0 per_stream;
-    s_transfer_ms =
-      List.fold_left (fun acc sc -> acc +. sc.sc_transfer_ms) 0.0 per_stream;
-    s_work = work;
-    s_tuples = tuples;
-    s_bytes = bytes;
-  })
-
-let explain_streaming (p : prepared) (se : streaming) : string =
-  String.concat "\n\n"
-    (List.mapi
-       (fun i (sc : stream_cursor) ->
-         let ast = R.Sql_parser.parse sc.sc_sql in
-         let alg = R.Algebra.rewrite (R.Algebra.lower p.db ast) in
-         explain_stream p (i + 1)
-           (root_name_of p sc.sc_stream)
-           ~sql:sc.sc_sql sc.sc_plan ~logical:(R.Algebra.to_string alg))
-       se.s_per_stream)
-
-(* --- plan diagnostics --------------------------------------------------- *)
-
-(* Flatten every stream's physical plan into the generic per-operator
-   records the anomaly detector consumes, labelled by fragment root. *)
-let diagnose_samples (p : prepared) (e : execution) : Obs.Diagnose.sample list =
-  List.concat_map
-    (fun (se : stream_exec) ->
-      R.Physical.diagnose_samples
-        ~stream:(root_name_of p se.se_stream)
-        se.se_plan)
-    e.per_stream
-
-let diagnose_samples_streaming (p : prepared) (se : streaming) :
-    Obs.Diagnose.sample list =
-  List.concat_map
-    (fun (sc : stream_cursor) ->
-      R.Physical.diagnose_samples
-        ~stream:(root_name_of p sc.sc_stream)
-        sc.sc_plan)
-    se.s_per_stream
-
-(* --- resilient execution ----------------------------------------------- *)
-
-(* What resilience cost: counters diffed over the backend's stats across
-   one execution, plus the number of streams that had to be degraded. *)
-type resilience = {
-  r_submits : int;
-  r_attempts : int;
-  r_retries : int;
-  r_faults : int;
-  r_timeouts : int;
-  r_degraded : int;
-  r_backoff_ms : float;
-  r_wasted_work : int;
-}
-
-type resilient = { r_streaming : streaming; r_resilience : resilience }
-
-let execute_resilient ?(style = Sql_gen.Outer_join) ?(reduce = false)
-    ?budget ?profile ?(transfer = R.Transfer.default) ?(sql_syntax = `Derived)
-    ?backend ?(max_splits = 8) ?(domains = 1) ?batch_size (p : prepared)
-    (plan : Partition.t) : resilient =
- Obs.Span.with_span "middleware.execute" (fun () ->
-  if Obs.Span.tracing () then begin
-    Obs.Span.add "mode" (Obs.Attr.String "resilient");
-    Obs.Span.add "domains" (Obs.Attr.Int domains)
-  end;
-  let backend =
-    match backend with
-    | Some b -> (
-        match batch_size with
-        | None -> b
-        | Some _ -> R.Backend.with_batch_size b batch_size)
-    | None -> R.Backend.create ?budget ?profile ?batch_size p.db
-  in
-  let opts = options_of p ~style ~reduce in
-  let streams = Sql_gen.streams p.db p.tree plan opts in
-  (* One forked connection per top-level stream, in every mode: fault
-     draws depend only on (seed, stream index, the stream's own
-     submission sequence), never on how streams interleave across
-     domains, so the resilience counters are identical at any domain
-     count and across repeated runs.  [backend] itself is only the
-     config/seed template; its own counters never move here. *)
-  let backends =
-    List.mapi (fun i (_ : Sql_gen.stream) -> R.Backend.fork backend ~salt:i)
-      streams
-  in
-  let print_sql =
-    match sql_syntax with
-    | `Derived -> R.Sql_print.to_string
-    | `With -> R.Sql_print.to_with_string
-  in
-  let degraded = Atomic.make 0 in
-  (* Run one stream through its backend's retry loop.  If its failure is
-     persistent — retries exhausted, a fatal fault, or a work-budget
-     timeout — split the offending fragment along its view-tree edges
-     (one step down the 2^|E| plan lattice, the paper's own fallback
-     space) and recurse on the finer sub-queries.  A single-node
-     fragment cannot degrade further: a timeout escapes as
-     [Plan_timeout] with the payload naming the fragment root, anything
-     else re-raises the backend error. *)
-  let rec run_stream ~depth backend i (s : Sql_gen.stream) :
-      stream_cursor list =
-    Obs.Span.with_span "execute.stream" (fun () ->
-        let text = print_sql s.Sql_gen.query in
-        let root_name =
-          View_tree.skolem_name
-            (View_tree.node p.tree s.Sql_gen.fragment.Partition.root)
-              .View_tree.sfi
-        in
-        let ast = R.Sql_parser.parse text in
-        (* the backend replans per attempt; this instance only reports
-           the plan shape (est-annotatable, no actuals) *)
-        let phys = R.Physical.plan_of p.db ast in
-        let rows = ref 0 and bytes = ref 0 in
-        let transfer_ms = ref transfer.R.Transfer.per_stream_overhead in
-        let t0 = now_ms () in
-        match
-          R.Backend.execute backend ~label:root_name
+    submit =
+      (fun ~label plan ->
+        let rows = ref 0 and bytes = ref 0 and ms = ref 0.0 in
+        let cur, stats =
+          R.Backend.execute backend ~label
             ~on_attempt:(fun _attempt ->
               (* a fresh physical attempt re-delivers from row one: drop
                  the partial accounting of the failed attempt *)
               rows := 0;
               bytes := 0;
-              transfer_ms := transfer.R.Transfer.per_stream_overhead)
+              ms := transfer.R.Transfer.per_stream_overhead)
             ~on_row:(fun t ->
               incr rows;
               bytes := !bytes + R.Tuple.wire_size t;
-              transfer_ms := !transfer_ms +. R.Transfer.tuple_ms transfer t)
-            ast
-        with
-        | cur, stats ->
+              ms := !ms +. R.Transfer.tuple_ms transfer t)
+            plan
+        in
+        (cur, stats, (!rows, !bytes, !ms)));
+    profile = R.Backend.profile backend;
+    backend = Some backend;
+  }
+
+(* Nested fragment splits allowed per original stream. *)
+let max_splits = 8
+
+(* The one per-stream pipeline: each stream's SQL is printed to text,
+   re-parsed by the engine's parser and planned here — so the executed
+   plan carries cost estimates and actual row/work figures out to traces,
+   [--explain] and [--diagnose] — then submitted through [connect i], the
+   submitter of top-level stream [i].  [release] frees the rows of
+   completed streams when a later one fails. *)
+let run_plan ?(style = Sql_gen.Outer_join) ?(reduce = false) ~mode ~domains
+    ~release ~(connect : int -> 'a submitter) (p : prepared)
+    (plan : Partition.t) : 'a run =
+ Obs.Span.with_span "middleware.execute" (fun () ->
+  if Obs.Span.tracing () then
+    Obs.Span.add_list
+      [ Obs.Attr.string "mode" mode; Obs.Attr.int "domains" domains ];
+  let opts = options_of p ~style ~reduce in
+  let streams = Sql_gen.streams p.db p.tree plan opts in
+  let tasks = List.mapi (fun i s -> (connect i, s)) streams in
+  let release_all = List.iter (List.iter (fun (rows, _) -> release rows)) in
+  let degraded = Atomic.make 0 in
+  (* A persistent failure of a spooled stream — retries exhausted, a
+     fatal fault, or a work-budget timeout — splits the offending
+     fragment along its view-tree edges (one step down the 2^|E| plan
+     lattice, the paper's own fallback space) and recurses on the finer
+     sub-queries.  A timeout that cannot degrade — a direct submission,
+     or a single-node fragment — escapes as [Plan_timeout]. *)
+  let rec run_stream ~depth sub i (s : Sql_gen.stream) =
+    Obs.Span.with_span "execute.stream" (fun () ->
+        let text = R.Sql_print.to_string s.Sql_gen.query in
+        let root_name = root_name_of p s in
+        let phys = R.Physical.plan_of p.db (R.Sql_parser.parse text) in
+        if Obs.Span.tracing () then
+          (* fill est_rows/est_cost so the plan.physical spans below
+             carry estimated vs actual figures per operator *)
+          ignore (R.Cost.annotate ~profile:sub.profile (stats_of p) phys);
+        let t0 = now_ms () in
+        match sub.submit ~label:root_name phys with
+        | rows, stats, (n, bytes, transfer_ms) ->
             let wall_ms = now_ms () -. t0 in
+            R.Physical.emit_obs_spans phys;
             Log.debug (fun m ->
-                m "stream (resilient): %d rows, %d work units, %.1f ms — %s"
-                  !rows stats.R.Executor.work wall_ms
+                m "stream: %d rows, %d work units, %.1f ms — %s" n
+                  stats.R.Executor.work wall_ms
                   (if String.length text > 80 then String.sub text 0 80 ^ "…"
                    else text));
             if Obs.Span.tracing () then begin
               Obs.Span.add_list
-                [
-                  Obs.Attr.int "index" i;
-                  Obs.Attr.string "root" root_name;
-                  Obs.Attr.int "rows" !rows;
-                  Obs.Attr.int "bytes" !bytes;
-                  Obs.Attr.int "work" stats.R.Executor.work;
-                  Obs.Attr.int "depth" depth;
-                ];
+                ([
+                   Obs.Attr.int "index" i;
+                   Obs.Attr.string "root" root_name;
+                   Obs.Attr.int "rows" n;
+                   Obs.Attr.int "bytes" bytes;
+                   Obs.Attr.int "work" stats.R.Executor.work;
+                 ]
+                @
+                if sub.backend = None then []
+                else
+                  [ Obs.Attr.bool "spooled" true; Obs.Attr.int "depth" depth ]);
               Obs.Metrics.incr "execute.streams";
               Obs.Metrics.observe "execute.stream.work"
                 (float_of_int stats.R.Executor.work);
-              Obs.Metrics.observe "execute.stream.rows" (float_of_int !rows);
-              Obs.Metrics.observe "execute.stream.bytes" (float_of_int !bytes)
+              Obs.Metrics.observe "execute.stream.rows" (float_of_int n);
+              Obs.Metrics.observe "execute.stream.bytes" (float_of_int bytes)
             end;
             [
-              {
-                sc_stream = s;
-                sc_cursor = cur;
-                sc_sql = text;
-                sc_plan = phys;
-                sc_stats = stats;
-                sc_wall_ms = wall_ms;
-                sc_rows = !rows;
-                sc_bytes = !bytes;
-                sc_transfer_ms = !transfer_ms;
-              };
+              ( rows,
+                {
+                  se_stream = s;
+                  se_sql = text;
+                  se_plan = phys;
+                  se_stats = stats;
+                  se_wall_ms = wall_ms;
+                  se_rows = n;
+                  se_bytes = bytes;
+                  se_transfer_ms = transfer_ms;
+                } );
             ]
-        | exception (R.Backend.Backend_error { kind; _ } as exn) -> (
+        | exception exn -> (
+            let bt = Printexc.get_raw_backtrace () in
             let elapsed = now_ms () -. t0 in
-            let info =
-              {
-                timeout_sql = text;
-                timeout_stream = i;
-                timeout_root = root_name;
-                timeout_elapsed_ms = elapsed;
-              }
+            let kind =
+              match exn with
+              | R.Executor.Timeout -> Some R.Backend.Timeout
+              | R.Backend.Backend_error { kind; _ } -> Some kind
+              | _ -> None
             in
             let finer =
-              if depth < max_splits then
+              if sub.backend <> None && depth < max_splits then
                 Partition.split s.Sql_gen.fragment
               else None
             in
-            match finer with
-            | Some frags ->
+            match (kind, finer) with
+            | Some kind, Some frags ->
+                let kind = R.Backend.kind_name kind in
+                let n = List.length frags in
                 Atomic.incr degraded;
                 Obs.Metrics.incr "middleware.degraded_streams";
                 if Obs.Span.tracing () then begin
                   Obs.Span.add_list
                     [
                       Obs.Attr.bool "degraded" true;
-                      Obs.Attr.string "degraded.root" info.timeout_root;
-                      Obs.Attr.string "degraded.kind" (R.Backend.kind_name kind);
-                      Obs.Attr.int "degraded.fragments" (List.length frags);
+                      Obs.Attr.string "degraded.root" root_name;
+                      Obs.Attr.string "degraded.kind" kind;
+                      Obs.Attr.int "degraded.fragments" n;
                     ];
                   Obs.Event.warn "middleware.degraded"
                     ~attrs:
                       [
-                        Obs.Attr.string "root" info.timeout_root;
-                        Obs.Attr.string "kind" (R.Backend.kind_name kind);
-                        Obs.Attr.int "fragments" (List.length frags);
+                        Obs.Attr.string "root" root_name;
+                        Obs.Attr.string "kind" kind;
+                        Obs.Attr.int "fragments" n;
                       ]
                 end;
                 Log.info (fun m ->
                     m "degrading stream %d (root %s, %s): splitting into %d \
                        finer sub-queries"
-                      i info.timeout_root
-                      (R.Backend.kind_name kind)
-                      (List.length frags));
-                (* a later fragment failing must not strand the spooled
-                   cursors of the fragments already run *)
-                let sub = ref [] in
+                      i root_name kind n);
+                (* a later fragment failing must not strand the rows of
+                   the fragments already run *)
+                let sub_runs = ref [] in
                 (try
                    List.iter
                      (fun frag ->
-                       sub :=
-                         run_stream ~depth:(depth + 1) backend i
+                       sub_runs :=
+                         run_stream ~depth:(depth + 1) sub i
                            (Sql_gen.stream_of_fragment p.db p.tree opts frag)
-                         :: !sub)
+                         :: !sub_runs)
                      frags
                  with e ->
                    let bt = Printexc.get_raw_backtrace () in
-                   List.iter close_stream_cursors !sub;
+                   release_all !sub_runs;
                    Printexc.raise_with_backtrace e bt);
-                List.concat (List.rev !sub)
-            | None -> (
-                match kind with
-                | R.Backend.Timeout ->
-                    if Obs.Span.tracing () then begin
-                      Obs.Event.error "middleware.plan_timeout"
-                        ~attrs:
-                          [
-                            Obs.Attr.int "stream" i;
-                            Obs.Attr.string "root" info.timeout_root;
-                            Obs.Attr.float "elapsed_ms" elapsed;
-                          ];
-                      Obs.Event.dump ~reason:"plan-timeout"
-                    end;
-                    raise (Plan_timeout info)
-                | _ -> raise exn)))
+                List.concat (List.rev !sub_runs)
+            | Some R.Backend.Timeout, None ->
+                if Obs.Span.tracing () then begin
+                  Obs.Span.add_list
+                    [
+                      Obs.Attr.bool "timeout" true;
+                      Obs.Attr.int "timeout.stream" i;
+                      Obs.Attr.string "timeout.root" root_name;
+                      Obs.Attr.float "timeout.elapsed_ms" elapsed;
+                    ];
+                  Obs.Event.error "middleware.plan_timeout"
+                    ~attrs:
+                      [
+                        Obs.Attr.int "stream" i;
+                        Obs.Attr.string "root" root_name;
+                        Obs.Attr.float "elapsed_ms" elapsed;
+                      ];
+                  Obs.Event.dump ~reason:"plan-timeout"
+                end;
+                raise
+                  (Plan_timeout
+                     {
+                       timeout_sql = text;
+                       timeout_stream = i;
+                       timeout_root = root_name;
+                       timeout_elapsed_ms = elapsed;
+                     })
+            | _ -> Printexc.raise_with_backtrace exn bt))
   in
-  let per_stream =
-    let tasks = List.combine backends streams in
+  let runs =
     List.concat
-      (map_streams ~domains
-         ~on_partial:(fun done_lists -> List.iter close_stream_cursors done_lists)
-         (fun i (b, s) -> run_stream ~depth:0 b i s)
+      (map_streams ~domains ~on_partial:release_all
+         (fun i (sub, s) -> run_stream ~depth:0 sub i s)
          tasks)
   in
   (* Degradation replaces one stream by finer streams covering the same
      nodes: the effective plan is still a point in the 2^|E| lattice, so
      sorting by fragment root restores plan order and the merge/tagger
      produces byte-identical XML. *)
-  let per_stream =
-    List.sort
-      (fun a b ->
-        compare a.sc_stream.Sql_gen.fragment.Partition.root
-          b.sc_stream.Sql_gen.fragment.Partition.root)
-      per_stream
+  let runs =
+    List.stable_sort
+      (fun (_, a) (_, b) ->
+        compare a.se_stream.Sql_gen.fragment.Partition.root
+          b.se_stream.Sql_gen.fragment.Partition.root)
+      runs
   in
-  let work =
-    List.fold_left
-      (fun acc sc -> acc + sc.sc_stats.R.Executor.work)
-      0 per_stream
+  let per_stream = List.map snd runs in
+  let sum f = List.fold_left (fun acc se -> acc + f se) 0 per_stream in
+  let sum_ms f = List.fold_left (fun acc se -> acc +. f se) 0.0 per_stream in
+  let work = sum (fun se -> se.se_stats.R.Executor.work) in
+  let tuples = sum (fun se -> se.se_rows) in
+  let bytes = sum (fun se -> se.se_bytes) in
+  let merged =
+    R.Backend.merge_stats
+      (List.filter_map
+         (fun (sub, _) -> Option.map R.Backend.stats sub.backend)
+         tasks)
   in
-  let tuples = List.fold_left (fun acc sc -> acc + sc.sc_rows) 0 per_stream in
-  let bytes = List.fold_left (fun acc sc -> acc + sc.sc_bytes) 0 per_stream in
-  let merged = R.Backend.merge_stats (List.map R.Backend.stats backends) in
   let resilience =
     {
       r_submits = merged.R.Backend.submits;
@@ -813,41 +483,112 @@ let execute_resilient ?(style = Sql_gen.Outer_join) ?(reduce = false)
         Obs.Attr.int "faults" resilience.r_faults;
       ];
   {
-    r_streaming =
-      {
-        cursors = List.map (fun sc -> (sc.sc_stream, sc.sc_cursor)) per_stream;
-        s_per_stream = per_stream;
-        s_sql_texts = List.map (fun sc -> sc.sc_sql) per_stream;
-        s_query_wall_ms =
-          List.fold_left (fun acc sc -> acc +. sc.sc_wall_ms) 0.0 per_stream;
-        s_transfer_ms =
-          List.fold_left (fun acc sc -> acc +. sc.sc_transfer_ms) 0.0 per_stream;
-        s_work = work;
-        s_tuples = tuples;
-        s_bytes = bytes;
-      };
-    r_resilience = resilience;
+    streams = List.map (fun (rows, se) -> (se.se_stream, rows)) runs;
+    per_stream;
+    sql_texts = List.map (fun se -> se.se_sql) per_stream;
+    query_wall_ms = sum_ms (fun se -> se.se_wall_ms);
+    transfer_ms = sum_ms (fun se -> se.se_transfer_ms);
+    work;
+    tuples;
+    bytes;
+    resilience;
   })
 
+let execute ?style ?reduce ?(budget = 0)
+    ?(profile = R.Executor.default_profile) ?(domains = 1) ?batch_size
+    (p : prepared) plan : execution =
+  let sub = direct ~budget ~profile ?batch_size p.db in
+  run_plan ?style ?reduce ~mode:"direct" ~domains ~release:ignore
+    ~connect:(fun _ -> sub)
+    p plan
+
+(* One forked connection per top-level stream: fault draws depend only
+   on (seed, stream index, the stream's own submission sequence), never
+   on how streams interleave across domains, so the resilience counters
+   are identical at any domain count and across repeated runs.
+   [backend] itself is only the config/seed template; its own counters
+   never move here. *)
+let execute_streaming ?style ?reduce ?backend ?(domains = 1) (p : prepared)
+    plan : streaming =
+  let backend =
+    match backend with Some b -> b | None -> R.Backend.create p.db
+  in
+  run_plan ?style ?reduce ~mode:"streaming" ~domains ~release:R.Cursor.close
+    ~connect:(fun i -> spooled (R.Backend.fork backend ~salt:i))
+    p plan
+
+let document_of p (e : execution) : Xmlkit.Xml.t =
+  Tagger.to_document p.tree e.streams
+
+let xml_string_of p (e : execution) : string =
+  Tagger.to_string p.tree e.streams
+
 let document_of_streaming p (se : streaming) : Xmlkit.Xml.t =
-  Tagger.to_document_cursors p.tree se.cursors
+  Tagger.to_document_cursors p.tree se.streams
 
 let xml_string_of_streaming p (se : streaming) : string =
-  Tagger.to_string_cursors p.tree se.cursors
+  Tagger.to_string_cursors p.tree se.streams
 
 let stream_to_channel p (se : streaming) oc : unit =
-  Tagger.to_channel p.tree se.cursors oc
+  Tagger.to_channel p.tree se.streams oc
+
+(* --- explain and diagnostics ------------------------------------------- *)
+
+(* Pretty-print one stream's three representations: the SQL text the
+   middleware ships, the rewritten logical algebra, and the physical
+   plan with its cost annotations (estimates only unless the plan was
+   executed, in which case actual rows/work appear alongside). *)
+let explain_stream (p : prepared) i root_name ~sql (plan : R.Physical.plan)
+    ~logical =
+  ignore (R.Cost.annotate (stats_of p) plan);
+  Printf.sprintf
+    "-- stream %d (root %s):\n%s\n\nlogical plan:\n%s\nphysical plan:\n%s" i
+    root_name sql logical
+    (R.Physical.to_string plan)
+
+let explain ?(style = Sql_gen.Outer_join) ?(reduce = false) (p : prepared)
+    (plan : Partition.t) : string =
+  let opts = options_of p ~style ~reduce in
+  let streams = Sql_gen.streams p.db p.tree plan opts in
+  String.concat "\n\n"
+    (List.mapi
+       (fun i (s : Sql_gen.stream) ->
+         let text = R.Sql_print.to_pretty_string s.Sql_gen.query in
+         (* round-trip through the text interface, exactly like
+            execution, so the explained tree is the executed tree *)
+         let ast = R.Sql_parser.parse (R.Sql_print.to_string s.Sql_gen.query) in
+         let alg = R.Algebra.rewrite (R.Algebra.lower p.db ast) in
+         let phys = R.Physical.of_algebra alg in
+         explain_stream p (i + 1) (root_name_of p s) ~sql:text phys
+           ~logical:(R.Algebra.to_string alg))
+       streams)
+
+let explain_execution (p : prepared) (e : 'a run) : string =
+  String.concat "\n\n"
+    (List.mapi
+       (fun i (se : stream_exec) ->
+         let ast = R.Sql_parser.parse se.se_sql in
+         let alg = R.Algebra.rewrite (R.Algebra.lower p.db ast) in
+         explain_stream p (i + 1)
+           (root_name_of p se.se_stream)
+           ~sql:se.se_sql se.se_plan ~logical:(R.Algebra.to_string alg))
+       e.per_stream)
+
+(* Flatten every stream's physical plan into the generic per-operator
+   records the anomaly detector consumes, labelled by fragment root. *)
+let diagnose_samples (p : prepared) (e : 'a run) : Obs.Diagnose.sample list =
+  List.concat_map
+    (fun (se : stream_exec) ->
+      R.Physical.diagnose_samples
+        ~stream:(root_name_of p se.se_stream)
+        se.se_plan)
+    e.per_stream
 
 (* One-call convenience: materialize the XML view of [db] under
    [strategy]. *)
-let materialize ?style ?reduce ?budget ?profile ?transfer ?sql_syntax ?domains
-    ?batch_size db view strategy : Xmlkit.Xml.t * execution =
+let materialize db view strategy : Xmlkit.Xml.t * execution =
   let p = prepare db view in
-  let plan = partition_of p strategy in
-  let e =
-    execute ?style ?reduce ?budget ?profile ?transfer ?sql_syntax ?domains
-      ?batch_size p plan
-  in
+  let e = execute p (partition_of p strategy) in
   (document_of p e, e)
 
 (* Ground truth: materialize via naive datalog evaluation of every node

@@ -252,7 +252,7 @@ let test_lattice_materialized_streaming () =
           Alcotest.(check int)
             (Printf.sprintf "%s mask %d: streaming work = materialized" sname
                mask)
-            e0.Middleware.work se0.Middleware.s_work;
+            e0.Middleware.work se0.Middleware.work;
           List.iter
             (fun size ->
               let label what =
@@ -262,7 +262,9 @@ let test_lattice_materialized_streaming () =
               check_exec (label "materialized") e0 e xml0
                 (Middleware.xml_string_of p e);
               let se =
-                Middleware.execute_streaming ~style ~batch_size:size p plan
+                Middleware.execute_streaming ~style
+                  ~backend:(R.Backend.create ~batch_size:size db)
+                  p plan
               in
               Alcotest.(check string)
                 (label "streaming: XML byte-identical")
@@ -270,16 +272,16 @@ let test_lattice_materialized_streaming () =
                 (Middleware.xml_string_of_streaming p se);
               Alcotest.(check int)
                 (label "streaming: work")
-                se0.Middleware.s_work se.Middleware.s_work;
+                se0.Middleware.work se.Middleware.work;
               Alcotest.(check int)
                 (label "streaming: tuples")
-                se0.Middleware.s_tuples se.Middleware.s_tuples;
+                se0.Middleware.tuples se.Middleware.tuples;
               Alcotest.(check int)
                 (label "streaming: bytes")
-                se0.Middleware.s_bytes se.Middleware.s_bytes;
+                se0.Middleware.bytes se.Middleware.bytes;
               Alcotest.(check (float 0.0))
                 (label "streaming: transfer_ms")
-                se0.Middleware.s_transfer_ms se.Middleware.s_transfer_ms)
+                se0.Middleware.transfer_ms se.Middleware.transfer_ms)
             sizes)
         (Partition.all_masks tree))
     [ Sql_gen.Outer_join; Sql_gen.Outer_union ]
@@ -300,23 +302,24 @@ let test_lattice_resilient_parallel () =
       (* resilient at fault rate 0.3: batched and tuple submissions see
          the same deterministic fault stream, so the resilience counters
          must match exactly along with the bytes. *)
-      let backend () =
+      let backend ?batch_size () =
         R.Backend.create
           ~faults:(R.Backend.faults ~seed:14 0.3)
           ~retry:{ R.Backend.default_retry with R.Backend.max_retries = 8 }
-          db
+          ?batch_size db
       in
-      let r0 = Middleware.execute_resilient ~backend:(backend ()) p plan in
-      let xml0 = Middleware.xml_string_of_streaming p r0.Middleware.r_streaming in
+      let r0 = Middleware.execute_streaming ~backend:(backend ()) p plan in
+      let xml0 = Middleware.xml_string_of_streaming p r0 in
       faults_seen :=
-        !faults_seen + r0.Middleware.r_resilience.Middleware.r_faults;
+        !faults_seen + r0.Middleware.resilience.Middleware.r_faults;
       (* parallel reference: tuple path at domains 1 *)
       let e0 = Middleware.execute p plan in
       let pxml0 = Middleware.xml_string_of p e0 in
       List.iter
         (fun size ->
           let r =
-            Middleware.execute_resilient ~backend:(backend ()) ~batch_size:size
+            Middleware.execute_streaming
+              ~backend:(backend ~batch_size:size ())
               p plan
           in
           let label what =
@@ -325,14 +328,14 @@ let test_lattice_resilient_parallel () =
           Alcotest.(check string)
             (label "resilient: XML byte-identical")
             xml0
-            (Middleware.xml_string_of_streaming p r.Middleware.r_streaming);
+            (Middleware.xml_string_of_streaming p r);
           Alcotest.(check bool)
             (label "resilient: counters exactly equal")
             true
-            (resilience_sig r0.Middleware.r_resilience
-            = resilience_sig r.Middleware.r_resilience);
+            (resilience_sig r0.Middleware.resilience
+            = resilience_sig r.Middleware.resilience);
           let e =
-            Middleware.execute_parallel ~domains:2 ~batch_size:size p plan
+            Middleware.execute ~domains:2 ~batch_size:size p plan
           in
           check_exec (label "parallel domains 2") e0 e pxml0
             (Middleware.xml_string_of p e))

@@ -55,7 +55,7 @@ let test_all_plans_both_styles () =
               (label "materialized work exceeds seed")
               e.Middleware.work legacy_work;
           let se = Middleware.execute_streaming ~style p plan in
-          let s_work = se.Middleware.s_work in
+          let s_work = se.Middleware.work in
           Alcotest.(check string)
             (label "streaming XML = legacy")
             legacy
@@ -89,14 +89,14 @@ let test_all_plans_resilient () =
                 { R.Backend.default_retry with R.Backend.max_retries = 8 }
               db
           in
-          let r = Middleware.execute_resilient ~backend p plan in
+          let r = Middleware.execute_streaming ~backend p plan in
           faults_seen :=
-            !faults_seen + r.Middleware.r_resilience.Middleware.r_faults;
+            !faults_seen + r.Middleware.resilience.Middleware.r_faults;
           Alcotest.(check string)
             (Printf.sprintf "rate %.1f mask %d: resilient XML = legacy" rate
                mask)
             legacy
-            (Middleware.xml_string_of_streaming p r.Middleware.r_streaming))
+            (Middleware.xml_string_of_streaming p r))
         (Partition.all_masks tree))
     [ 0.0; 0.3 ];
   Alcotest.(check bool) "faults actually fired at rate 0.3" true

@@ -133,7 +133,10 @@ let test_dump_on_breaker_open () =
           ~breaker:{ B.failure_threshold = 2; cooldown_ms = 1000.0 }
           db
       in
-      (try ignore (B.execute backend (R.Sql_parser.parse supplier_q))
+      (try
+         ignore
+           (B.execute backend
+              (R.Physical.plan_of db (R.Sql_parser.parse supplier_q)))
        with B.Backend_error _ | B.Circuit_open _ -> ());
       let reasons = List.map (fun d -> d.Obs.Event.reason) !captured in
       Alcotest.(check bool)
@@ -159,7 +162,10 @@ let test_deterministic_sequence () =
             ~retry:{ B.default_retry with B.max_retries = 4 }
             db
         in
-        (try ignore (B.execute backend (R.Sql_parser.parse supplier_q))
+        (try
+           ignore
+             (B.execute backend
+                (R.Physical.plan_of db (R.Sql_parser.parse supplier_q)))
          with B.Backend_error _ | B.Circuit_open _ -> ());
         List.map
           (fun (e : Obs.Event.t) ->

@@ -158,36 +158,16 @@ let test_non_equi_join_condition () =
         (Xmlkit.Xml.equal (Middleware.document_of p e) truth))
     (Partition.all_masks p.Middleware.tree)
 
-let test_with_syntax_agrees () =
-  (* shipping the SQL as WITH clauses (paper footnote 1) must produce the
-     same document as inline derived tables, for every plan *)
-  let db = Tpch.Gen.generate (Tpch.Gen.config 0.1) in
-  let p = Middleware.prepare_text db Queries.query1_text in
-  List.iter
-    (fun mask ->
-      let plan = Partition.of_mask p.Middleware.tree mask in
-      let a = Middleware.execute p plan in
-      let b = Middleware.execute ~sql_syntax:`With p plan in
-      Alcotest.(check bool) (Printf.sprintf "mask %d" mask) true
-        (Xmlkit.Xml.equal (Middleware.document_of p a) (Middleware.document_of p b));
-      (* the WITH text really is different syntax *)
-      if mask = 511 then
-        Alcotest.(check bool) "uses WITH" true
-          (String.length (List.hd b.Middleware.sql_texts) > 4
-          && String.sub (List.hd b.Middleware.sql_texts) 0 4 = "WITH"))
-    [ 0; 37; 255; 511 ]
-
 let suite =
   [
     Alcotest.test_case "strategies agree" `Quick test_materialize_strategies_agree;
-    Alcotest.test_case "WITH syntax agrees" `Quick test_with_syntax_agrees;
     Alcotest.test_case "execution accounting" `Quick test_execution_accounting;
     Alcotest.test_case "stream counts" `Quick test_stream_counts_by_strategy;
     Alcotest.test_case "plan timeout" `Quick test_timeout_raised;
     Alcotest.test_case "profile affects work" `Quick test_profile_affects_work;
     Alcotest.test_case "transfer overhead by streams" `Quick test_more_streams_more_transfer_overhead;
+    Alcotest.test_case "non-TPC-H schema" `Quick test_custom_non_tpch_schema;
     Alcotest.test_case "exhaustive 512 plans (Query 1)" `Slow test_exhaustive_q1;
     Alcotest.test_case "exhaustive 512 plans (Query 2)" `Slow test_exhaustive_q2;
-    Alcotest.test_case "non-TPC-H schema" `Quick test_custom_non_tpch_schema;
     Alcotest.test_case "non-equi-join condition" `Quick test_non_equi_join_condition;
   ]

@@ -293,7 +293,10 @@ let test_per_stream_stats () =
   Alcotest.(check int) "work is the sum of per-stream work" e.Middleware.work
     (sum (fun se -> se.Middleware.se_stats.R.Executor.work));
   Alcotest.(check int) "tuples is the sum of per-stream rows" e.Middleware.tuples
-    (sum (fun se -> R.Relation.cardinality se.Middleware.se_relation));
+    (sum (fun se -> se.Middleware.se_rows));
+  Alcotest.(check (list int)) "per-stream rows count each stream's relation"
+    (List.map (fun (_, rel) -> R.Relation.cardinality rel) e.Middleware.streams)
+    (List.map (fun se -> se.Middleware.se_rows) e.Middleware.per_stream);
   (* the records really are distinct, not one shared accumulator *)
   let rec distinct = function
     | [] -> true

@@ -1,7 +1,6 @@
 (* The domain fan-out: Domain_pool unit tests, then differential tests
-   holding [execute_parallel] / [~domains] to the sequential paths —
-   byte-identical XML and exact work/tuples/bytes/transfer parity for
-   every plan in the 2^|E| lattice at domains ∈ {1, 2, 4}, resilience
+   holding [~domains] to the sequential paths — byte-identical XML and
+   exact work/tuples/bytes/transfer parity for every plan in the 2^|E| lattice at domains ∈ {1, 2, 4}, resilience
    counters deterministic under faults at every domain count, and span
    coherence (parent-before-child, start order) when several domains
    trace at once. *)
@@ -90,7 +89,7 @@ let check_point p mask domains =
   let plan = Partition.of_mask p.Middleware.tree mask in
   let label = Printf.sprintf "mask %d @%d domains" mask domains in
   let e = Middleware.execute p plan in
-  let ep = Middleware.execute_parallel ~domains p plan in
+  let ep = Middleware.execute ~domains p plan in
   Alcotest.(check string)
     (label ^ ": byte-identical XML")
     (Middleware.xml_string_of p e)
@@ -112,10 +111,10 @@ let check_point p mask domains =
     (Middleware.xml_string_of_streaming p sp);
   Alcotest.(check int)
     (label ^ ": streaming work")
-    se.Middleware.s_work sp.Middleware.s_work;
+    se.Middleware.work sp.Middleware.work;
   Alcotest.(check int)
     (label ^ ": streaming bytes")
-    se.Middleware.s_bytes sp.Middleware.s_bytes
+    se.Middleware.bytes sp.Middleware.bytes
 
 let domain_counts = [ 1; 2; 4 ]
 
@@ -168,11 +167,11 @@ let test_resilient_counters_deterministic () =
                   { R.Backend.default_retry with R.Backend.max_retries = 8 }
                 db
             in
-            let r = Middleware.execute_resilient ~backend ~domains p plan in
+            let r = Middleware.execute_streaming ~backend ~domains p plan in
             let xml =
-              Middleware.xml_string_of_streaming p r.Middleware.r_streaming
+              Middleware.xml_string_of_streaming p r
             in
-            (xml, r.Middleware.r_resilience)
+            (xml, r.Middleware.resilience)
           in
           let xml1, res1 = run 1 in
           Alcotest.(check string)
@@ -214,9 +213,10 @@ let test_degradation_under_fanout () =
   Alcotest.(check bool) "unified plan must exceed the budget" true
     (baseline.Middleware.work > budget);
   let run domains =
-    let r = Middleware.execute_resilient ~budget ~domains p unified in
-    ( Middleware.xml_string_of_streaming p r.Middleware.r_streaming,
-      r.Middleware.r_resilience )
+    let backend = R.Backend.create ~budget db in
+    let r = Middleware.execute_streaming ~backend ~domains p unified in
+    ( Middleware.xml_string_of_streaming p r,
+      r.Middleware.resilience )
   in
   let xml1, res1 = run 1 in
   Alcotest.(check string) "degraded run matches fault-free truth" truth xml1;
@@ -248,7 +248,7 @@ let test_spans_coherent_across_domains () =
       ignore (Middleware.execute p plan);
       let seq_names = span_names () in
       Obs.Span.reset ();
-      ignore (Middleware.execute_parallel ~domains:4 p plan);
+      ignore (Middleware.execute ~domains:4 p plan);
       let spans = Obs.Span.spans () in
       Alcotest.(check (list string))
         "same span multiset as sequential" seq_names (span_names ());

@@ -120,7 +120,11 @@ let check_view (v, mask_seed) =
              rejecting such a plan is correct behaviour *)
           try
             let e = Middleware.execute ~style ~reduce p plan in
+            let se = Middleware.execute_streaming ~style ~reduce p plan in
+            let streamed = Middleware.document_of_streaming p se in
             Xmlkit.Xml.equal (Middleware.document_of p e) truth
+            && Xmlkit.Xml.equal streamed truth
+            && se.Middleware.work = e.Middleware.work
           with Sql_gen.Unsupported _ -> true)
         [ (Sql_gen.Outer_join, false); (Sql_gen.Outer_join, true);
           (Sql_gen.Outer_union, false) ])

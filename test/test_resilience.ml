@@ -1,6 +1,6 @@
 (* The resilient backend layer: fault injection / retry / breaker unit
    tests on Backend, Partition.split laws, and differential tests of
-   Middleware.execute_resilient — byte-identical output versus the
+   Middleware.execute_streaming — byte-identical output versus the
    fault-free materialized path across fault rates, budget-forced
    degradation through the plan lattice, and exact (deterministic)
    resilience counters for a fixed seed. *)
@@ -17,6 +17,7 @@ let part_q = "SELECT p.name AS n FROM Part AS p ORDER BY n"
 
 let tpch scale = Tpch.Gen.generate (Tpch.Gen.config scale)
 let parse = R.Sql_parser.parse
+let plan db q = R.Physical.plan_of db (parse q)
 
 let retry ?(max_retries = 3) () = { B.default_retry with B.max_retries }
 
@@ -27,7 +28,7 @@ let test_no_faults_passthrough () =
   let backend = B.create db in
   let q = parse supplier_q in
   let expected, _ = R.Executor.run_with_stats db q in
-  let cur, _ = B.execute backend q in
+  let cur, _ = B.execute backend (R.Physical.plan_of db q) in
   Alcotest.(check bool) "same rows" true
     (R.Relation.equal expected (R.Cursor.to_relation cur));
   let st = B.stats backend in
@@ -42,7 +43,7 @@ let test_transient_exhausts_bounded_retries () =
     B.create ~faults:(B.faults ~midstream_weight:0.0 1.0)
       ~retry:(retry ~max_retries:3 ()) db
   in
-  (match B.execute backend (parse supplier_q) with
+  (match B.execute backend (plan db supplier_q) with
   | _ -> Alcotest.fail "certain transient faults must exhaust retries"
   | exception B.Backend_error { kind; attempt; _ } ->
       Alcotest.(check bool) "transient" true (kind = B.Transient);
@@ -57,7 +58,7 @@ let test_fatal_not_retried () =
   let backend =
     B.create ~faults:(B.faults ~fatal_weight:1.0 1.0) ~retry:(retry ()) db
   in
-  (match B.execute backend (parse supplier_q) with
+  (match B.execute backend (plan db supplier_q) with
   | _ -> Alcotest.fail "fatal fault must escape"
   | exception B.Backend_error { kind; attempt; _ } ->
       Alcotest.(check bool) "fatal" true (kind = B.Fatal);
@@ -70,7 +71,7 @@ let test_timeout_not_retried_wasted_work () =
   let db = tpch 0.3 in
   let budget = 50 in
   let backend = B.create ~budget db in
-  (match B.execute backend (parse part_q) with
+  (match B.execute backend (plan db part_q) with
   | _ -> Alcotest.fail "tiny budget must time out"
   | exception B.Backend_error { kind; _ } ->
       Alcotest.(check bool) "timeout" true (kind = B.Timeout));
@@ -93,7 +94,7 @@ let test_backoff_exponential_within_jitter () =
         }
       db
   in
-  (try ignore (B.execute backend (parse supplier_q))
+  (try ignore (B.execute backend (plan db supplier_q))
    with B.Backend_error _ -> ());
   let st = B.stats backend in
   (* slots 10, 20, 40 (capped), each jittered by ±25% *)
@@ -111,7 +112,7 @@ let test_breaker_opens_and_rejects () =
       ~breaker:{ B.failure_threshold = 2; cooldown_ms = 1000.0 }
       db
   in
-  (match B.execute backend (parse supplier_q) with
+  (match B.execute backend (plan db supplier_q) with
   | _ -> Alcotest.fail "certain faults must exhaust retries"
   | exception B.Backend_error { kind; _ } ->
       Alcotest.(check bool) "transient" true (kind = B.Transient));
@@ -133,7 +134,7 @@ let test_midstream_drop_retried () =
     B.create ~faults:(B.faults ~midstream_weight:1.0 1.0)
       ~retry:(retry ~max_retries:2 ()) db
   in
-  (match B.execute backend (parse part_q) with
+  (match B.execute backend (plan db part_q) with
   | _ -> Alcotest.fail "certain mid-stream drops must exhaust retries"
   | exception B.Backend_error { kind; rows_delivered; _ } ->
       Alcotest.(check bool) "transient" true (kind = B.Transient);
@@ -161,8 +162,9 @@ let test_midstream_recovery_accounting () =
           db
       in
       let rows = ref 0 in
-      match B.execute backend ~on_attempt:(fun _ -> rows := 0)
-              ~on_row:(fun _ -> incr rows) q
+      match
+        B.execute backend ~on_attempt:(fun _ -> rows := 0)
+          ~on_row:(fun _ -> incr rows) (R.Physical.plan_of db q)
       with
       | cur, _ when (B.stats backend).B.retries > 0 ->
           Alcotest.(check bool) "rows match fault-free run" true
@@ -179,7 +181,7 @@ let test_injected_row_latency () =
   let db = tpch 0.2 in
   let backend = B.create ~faults:(B.faults ~row_latency_ms:2.0 0.0) db in
   let q = parse supplier_q in
-  let cur, _ = B.execute backend q in
+  let cur, _ = B.execute backend (R.Physical.plan_of db q) in
   let n = R.Relation.cardinality (R.Cursor.to_relation cur) in
   let st = B.stats backend in
   Alcotest.(check (float 1e-9))
@@ -198,7 +200,7 @@ let test_seed_determinism () =
     in
     List.iter
       (fun q ->
-        try ignore (B.execute backend (parse q)) with B.Backend_error _ -> ())
+        try ignore (B.execute backend (plan db q)) with B.Backend_error _ -> ())
       [ supplier_q; part_q; supplier_q ];
     B.stats backend
   in
@@ -252,7 +254,7 @@ let test_split_laws () =
   in
   List.iter check (Partition.fragments unified)
 
-(* --- execute_resilient: differential across fault rates ------------------ *)
+(* --- execute_streaming: differential across fault rates ------------------ *)
 
 let small_views =
   [
@@ -269,7 +271,7 @@ let small_views =
   ]
 
 let resilient_xml p r =
-  Middleware.xml_string_of_streaming p r.Middleware.r_streaming
+  Middleware.xml_string_of_streaming p r
 
 (* For one (view, mask, rate) point: resilient output byte-identical to
    the fault-free materialized path, and the resilience counters exactly
@@ -284,8 +286,8 @@ let check_resilient_point p mask rate =
         ~retry:(retry ~max_retries:8 ())
         p.Middleware.db
     in
-    let r = Middleware.execute_resilient ~backend p plan in
-    (resilient_xml p r, r.Middleware.r_resilience)
+    let r = Middleware.execute_streaming ~backend p plan in
+    (resilient_xml p r, r.Middleware.resilience)
   in
   let xml, res = run () in
   Alcotest.(check string) (label ^ ": byte-identical XML") baseline xml;
@@ -338,11 +340,11 @@ let test_budget_forces_degradation () =
   Alcotest.(check bool) "unified cannot fit the budget" true
     (baseline.Middleware.work > budget);
   let backend = B.create ~budget db in
-  let r = Middleware.execute_resilient ~backend p unified in
+  let r = Middleware.execute_streaming ~backend p unified in
   Alcotest.(check string) "byte-identical after degradation"
     (Middleware.xml_string_of p baseline)
     (resilient_xml p r);
-  let res = r.Middleware.r_resilience in
+  let res = r.Middleware.resilience in
   Alcotest.(check bool) "at least one stream degraded" true
     (res.Middleware.r_degraded >= 1);
   Alcotest.(check bool) "timeouts observed" true (res.Middleware.r_timeouts >= 1);
@@ -356,7 +358,7 @@ let test_single_node_timeout_escapes () =
   let p = Middleware.prepare_text db Queries.query1_text in
   let backend = B.create ~budget:10 db in
   match
-    Middleware.execute_resilient ~backend p
+    Middleware.execute_streaming ~backend p
       (Partition.fully_partitioned p.Middleware.tree)
   with
   | _ -> Alcotest.fail "tiny budget must time out"
@@ -365,6 +367,37 @@ let test_single_node_timeout_escapes () =
         (String.length info.Middleware.timeout_root > 0);
       Alcotest.(check bool) "carries SQL" true
         (String.length info.Middleware.timeout_sql > 0)
+
+(* The spooled path reports the plan its backend executed: after
+   retried attempts, each stream's sort root carries the row count of
+   the winning attempt, which is also what was spooled and accounted. *)
+let test_actuals_from_winning_attempt () =
+  let db = tpch 0.3 in
+  let p = Middleware.prepare_text db Queries.query1_text in
+  let backend =
+    B.create
+      ~faults:(B.faults ~seed:14 ~midstream_weight:0.5 0.5)
+      ~retry:(retry ~max_retries:8 ())
+      db
+  in
+  let se =
+    Middleware.execute_streaming ~backend p
+      (Partition.fully_partitioned p.Middleware.tree)
+  in
+  Alcotest.(check bool) "transient faults were retried" true
+    (se.Middleware.resilience.Middleware.r_retries > 0);
+  List.iter2
+    (fun (st : Middleware.stream_exec) (_, cur) ->
+      let root = st.Middleware.se_plan.R.Physical.root in
+      (match root.R.Physical.shape with
+      | R.Physical.Sort _ -> ()
+      | _ -> Alcotest.fail "a stream's plan is rooted at its sort");
+      Alcotest.(check int) "sort root actual rows = spooled rows"
+        st.Middleware.se_rows root.R.Physical.act_rows;
+      Alcotest.(check int) "spooled rows = rows delivered"
+        st.Middleware.se_rows
+        (List.length (R.Cursor.to_list cur)))
+    se.Middleware.per_stream se.Middleware.streams
 
 (* --- acceptance: q1/q2, all plans, faults + degradation ------------------- *)
 
@@ -390,12 +423,12 @@ let acceptance_sweep text =
           ~retry:(retry ~max_retries:8 ())
           ~budget db
       in
-      let r = Middleware.execute_resilient ~backend p plan in
+      let r = Middleware.execute_streaming ~backend p plan in
       Alcotest.(check string)
         (Printf.sprintf "mask %d: byte-identical under faults" mask)
         baseline (resilient_xml p r);
-      retries := !retries + r.Middleware.r_resilience.Middleware.r_retries;
-      degraded := !degraded + r.Middleware.r_resilience.Middleware.r_degraded)
+      retries := !retries + r.Middleware.resilience.Middleware.r_retries;
+      degraded := !degraded + r.Middleware.resilience.Middleware.r_degraded)
     (Partition.all_masks p.Middleware.tree);
   Alcotest.(check bool) "retries fired across the sweep" true (!retries > 0);
   Alcotest.(check bool) "degradation fired across the sweep" true
@@ -431,6 +464,8 @@ let suite =
       test_budget_forces_degradation;
     Alcotest.test_case "single-node timeout escapes as Plan_timeout" `Quick
       test_single_node_timeout_escapes;
+    Alcotest.test_case "actuals from the winning attempt" `Quick
+      test_actuals_from_winning_attempt;
     Alcotest.test_case "acceptance: q1 all plans, faults + degradation" `Slow
       test_acceptance_q1;
     Alcotest.test_case "acceptance: q2 all plans, faults + degradation" `Slow

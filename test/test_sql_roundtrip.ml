@@ -69,8 +69,61 @@ let test_exhaustive () =
     (Printf.sprintf "covered %d streams" !total)
     true (!total > 10_000)
 
+(* The paper's footnote 1: a sub-query may ship its derived tables
+   inline or as a WITH clause.  Both texts must plan to the same
+   physical tree, and so return the same rows. *)
+let test_with_syntax_agrees () =
+  let db = Tpch.Gen.generate (Tpch.Gen.config 0.1) in
+  List.iter
+    (fun (qname, text) ->
+      let p = Middleware.prepare_text db text in
+      List.iter
+        (fun (pname, strategy) ->
+          let plan = Middleware.partition_of p strategy in
+          let opts = { Sql_gen.style = Sql_gen.Outer_join; labels = None } in
+          List.iteri
+            (fun i (s : Sql_gen.stream) ->
+              let ctx = Printf.sprintf "%s %s stream %d" qname pname i in
+              let planned print =
+                R.Physical.plan_of db
+                  (R.Sql_parser.parse (print s.Sql_gen.query))
+              in
+              let inline = planned R.Sql_print.to_string in
+              let with_ = planned R.Sql_print.to_with_string in
+              Alcotest.(check string)
+                (ctx ^ ": same physical plan")
+                (R.Physical.to_string inline)
+                (R.Physical.to_string with_);
+              Alcotest.(check bool)
+                (ctx ^ ": same rows") true
+                (R.Relation.equal
+                   (R.Executor.run_plan db inline)
+                   (R.Executor.run_plan db with_)))
+            (Sql_gen.streams db p.Middleware.tree plan opts))
+        [
+          ("unified", Middleware.Unified);
+          ("fully-partitioned", Middleware.Fully_partitioned);
+          ("greedy", Middleware.Greedy Planner.default_params);
+          ("edges:37", Middleware.Edges 37);
+          ("edges:255", Middleware.Edges 255);
+        ])
+    [ ("q1", Queries.query1_text); ("q2", Queries.query2_text) ];
+  (* the WITH text really is different syntax *)
+  let p = Middleware.prepare_text db Queries.query1_text in
+  match
+    Sql_gen.streams db p.Middleware.tree
+      (Partition.unified p.Middleware.tree)
+      { Sql_gen.style = Sql_gen.Outer_join; labels = None }
+  with
+  | [ s ] ->
+      let text = R.Sql_print.to_with_string s.Sql_gen.query in
+      Alcotest.(check bool) "uses WITH" true
+        (String.length text > 4 && String.sub text 0 4 = "WITH")
+  | _ -> Alcotest.fail "unified q1 plan is one stream"
+
 let suite =
   [
     Alcotest.test_case "print-parse structural, all plans/styles" `Slow
       test_exhaustive;
+    Alcotest.test_case "WITH syntax agrees" `Quick test_with_syntax_agrees;
   ]

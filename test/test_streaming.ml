@@ -81,14 +81,14 @@ let check_point ?(check_naive = None) p mask style reduce =
     (Middleware.xml_string_of p e)
     (Middleware.xml_string_of_streaming p se);
   Alcotest.(check int) (label ^ ": work units") e.Middleware.work
-    se.Middleware.s_work;
+    se.Middleware.work;
   Alcotest.(check int) (label ^ ": tuples") e.Middleware.tuples
-    se.Middleware.s_tuples;
+    se.Middleware.tuples;
   Alcotest.(check int) (label ^ ": bytes") e.Middleware.bytes
-    se.Middleware.s_bytes;
+    se.Middleware.bytes;
   Alcotest.(check (float 0.0))
     (label ^ ": transfer model")
-    e.Middleware.transfer_ms se.Middleware.s_transfer_ms;
+    e.Middleware.transfer_ms se.Middleware.transfer_ms;
   match check_naive with
   | None -> ()
   | Some truth ->
@@ -195,7 +195,8 @@ let test_timeout_payload () =
       Alcotest.(check bool) "elapsed non-negative" true
         (info.Middleware.timeout_elapsed_ms >= 0.0);
       (* the streaming path reports the same failing stream *)
-      (match Middleware.execute_streaming ~budget:50 p plan with
+      let backend = R.Backend.create ~budget:50 db in
+      (match Middleware.execute_streaming ~backend p plan with
       | _ -> Alcotest.fail "streaming path must time out too"
       | exception Middleware.Plan_timeout info' ->
           Alcotest.(check int) "same failing stream"
@@ -242,7 +243,7 @@ let test_streaming_memory_bounded () =
   let hw_streaming =
     let se = Middleware.execute_streaming p plan in
     highwater (fun sink ->
-        Tagger.tag_cursors p.Middleware.tree se.Middleware.cursors sink)
+        Tagger.tag_cursors p.Middleware.tree se.Middleware.streams sink)
   in
   let hw_materialized =
     let e = Middleware.execute p plan in

@@ -87,6 +87,9 @@ fi
 echo "== wall-clock harness smoke (plan-sweep: a seeded run of edge-mask plans, each output checked against the naive oracle)"
 sh perfbench/run.sh --workload plan-sweep --seed 1009 --seconds 1 --trace 0
 
+echo "== served-traffic smoke (serve-zipf: each served response checked against the naive oracle)"
+sh perfbench/run.sh --workload serve-zipf --seed 1009 --seconds 1 --trace 0
+
 echo "== baseline smoke (perturbed baseline must fail the gate)"
 sh tools/baseline_smoke.sh
 

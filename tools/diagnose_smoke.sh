@@ -8,6 +8,8 @@
 #      least one complete event per pipeline stage.
 #   3. `diagnose --skew-stats` flags the deliberately mis-statted
 #      relation as a q-error misestimate finding.
+#   4. `run --resilient --diagnose` measures every operator it samples:
+#      the spooled path reports the plan its backend executed.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -54,6 +56,17 @@ dune exec bin/silkroute_cli.exe -- diagnose -q q1 --scale 0.05 \
   >"$report" 2>&1
 if grep -E "scan .*64\.00" "$report" >/dev/null; then
   echo "FAIL: unskewed diagnose still reports the q-error 64 scan" >&2
+  exit 1
+fi
+
+echo "== resilient run measures every sampled operator"
+line=$(dune exec bin/silkroute_cli.exe -- run -q q1 --scale 0.05 --resilient \
+  --diagnose 2>&1 >/dev/null | grep "operator(s) sampled" || true)
+sampled=$(printf '%s' "$line" | sed -n 's/.* \([0-9][0-9]*\) operator(s) sampled.*/\1/p')
+measured=$(printf '%s' "$line" | sed -n 's/.* sampled, \([0-9][0-9]*\) measured.*/\1/p')
+if [ -z "$sampled" ] || [ "$sampled" -eq 0 ] || [ "$sampled" != "$measured" ]
+then
+  echo "FAIL: resilient --diagnose: '$line' (want measured = sampled > 0)" >&2
   exit 1
 fi
 

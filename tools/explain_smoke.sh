@@ -26,4 +26,18 @@ for q in q1 q2; do
   fi
 done
 
+# the spooled (resilient) path explains the plan its backend executed:
+# every scan carries actual rows, none is left at act=?
+echo "== run --resilient --explain --query q1"
+out=$(dune exec bin/silkroute_cli.exe -- run --query q1 --scale 0.1 \
+  --resilient --explain 2>&1 >/dev/null)
+if ! printf '%s' "$out" | grep -Eq "scan .*rows est=[0-9]+ act=[0-9]+"; then
+  echo "FAIL: --resilient --explain shows no scan with actual rows" >&2
+  exit 1
+fi
+if printf '%s' "$out" | grep -Eq "scan .*act=\?"; then
+  echo "FAIL: --resilient --explain leaves a scan at act=?" >&2
+  exit 1
+fi
+
 echo "== explain smoke OK"

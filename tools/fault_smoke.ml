@@ -46,9 +46,9 @@ let () =
         ~retry:{ R.Backend.default_retry with R.Backend.max_retries }
         ~budget db
     in
-    let r = S.Middleware.execute_resilient ~backend p unified in
-    let xml = S.Middleware.xml_string_of_streaming p r.S.Middleware.r_streaming in
-    (xml, r.S.Middleware.r_resilience)
+    let se = S.Middleware.execute_streaming ~backend p unified in
+    let xml = S.Middleware.xml_string_of_streaming p se in
+    (xml, se.S.Middleware.resilience)
   in
   let xml, res = run () in
   Printf.printf

@@ -53,9 +53,9 @@ let streaming_highwater scale =
   let se = S.Middleware.execute_streaming p plan in
   let hw, opens =
     tag_highwater base (fun sink ->
-        S.Tagger.tag_cursors p.S.Middleware.tree se.S.Middleware.cursors sink)
+        S.Tagger.tag_cursors p.S.Middleware.tree se.S.Middleware.streams sink)
   in
-  (hw, opens, se.S.Middleware.s_tuples)
+  (hw, opens, se.S.Middleware.tuples)
 
 let materialized_highwater scale =
   let p, plan = prepare scale in
@@ -105,14 +105,15 @@ let check_no_spool_leak () =
     / 2
   in
   let timeouts = ref 0 in
-  (try ignore (S.Middleware.execute_streaming ~budget p fully)
+  let backend = R.Backend.create ~budget p.S.Middleware.db in
+  (try ignore (S.Middleware.execute_streaming ~backend p fully)
    with S.Middleware.Plan_timeout _ -> incr timeouts);
-  (* timeout path, resilient (sequential and fanned out): single-node
-     fragments cannot degrade further, so the budget hit surfaces as
-     Plan_timeout after several streams already spooled *)
+  (* the same, sequential and fanned out: single-node fragments cannot
+     degrade further, so the budget hit surfaces as Plan_timeout after
+     several streams already spooled *)
   List.iter
     (fun domains ->
-      try ignore (S.Middleware.execute_resilient ~budget ~domains p fully)
+      try ignore (S.Middleware.execute_streaming ~backend ~domains p fully)
       with S.Middleware.Plan_timeout _ -> incr timeouts)
     [ 1; 4 ];
   if !timeouts <> 3 then
