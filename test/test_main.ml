@@ -35,6 +35,7 @@ let () =
       qcheck "partition:props" Test_partition.props;
       ("sql-gen", Test_sql_gen.suite);
       ("tagger", Test_tagger.suite);
+      ("golden", Test_golden.suite);
       qcheck "tagger:props" Test_tagger.props;
       ("planner", Test_planner.suite);
       ("query3", Test_query3.suite);
