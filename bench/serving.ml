@@ -44,13 +44,17 @@ let new_hist () =
     counts = Array.make (Array.length Obs.Metrics.duration_bounds + 1) 0;
     sum = 0.0;
     n = 0;
+    min = infinity;
+    max = neg_infinity;
   }
 
 let observe (h : Obs.Metrics.histogram) x =
   let i = Obs.Metrics.bucket_index h.Obs.Metrics.bounds x in
   h.Obs.Metrics.counts.(i) <- h.Obs.Metrics.counts.(i) + 1;
   h.Obs.Metrics.sum <- h.Obs.Metrics.sum +. x;
-  h.Obs.Metrics.n <- h.Obs.Metrics.n + 1
+  h.Obs.Metrics.n <- h.Obs.Metrics.n + 1;
+  h.Obs.Metrics.min <- Float.min h.Obs.Metrics.min x;
+  h.Obs.Metrics.max <- Float.max h.Obs.Metrics.max x
 
 type pass = {
   requests : int;

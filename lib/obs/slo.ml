@@ -38,6 +38,8 @@ type window = {
   mutable w_n : int;
   mutable w_errors : int;
   mutable w_sum : float;
+  mutable w_min : float;
+  mutable w_max : float;
 }
 
 type t = {
@@ -67,6 +69,8 @@ let create ?(config = default_config) () =
             w_n = 0;
             w_errors = 0;
             w_sum = 0.0;
+            w_min = infinity;
+            w_max = neg_infinity;
           });
     m = Mutex.create ();
     breached = false;
@@ -85,7 +89,9 @@ let slot t idx =
     Array.fill w.w_counts 0 (Array.length w.w_counts) 0;
     w.w_n <- 0;
     w.w_errors <- 0;
-    w.w_sum <- 0.0
+    w.w_sum <- 0.0;
+    w.w_min <- infinity;
+    w.w_max <- neg_infinity
   end;
   w
 
@@ -103,28 +109,33 @@ type snapshot = {
   covered_windows : int;  (* live (non-stale) windows aggregated *)
 }
 
-(* Aggregate the live windows into one histogram + counts.  Called under
-   the mutex. *)
+(* Aggregate the live windows into one histogram + error and window
+   counts.  Called under the mutex. *)
 let aggregate t now_ms =
   let idx = window_index t now_ms in
   let oldest = idx - Array.length t.ring + 1 in
-  let counts = Array.make (Array.length bounds + 1) 0 in
-  let n = ref 0 and errors = ref 0 and sum = ref 0.0 and live = ref 0 in
+  let h =
+    { Metrics.bounds; counts = Array.make (Array.length bounds + 1) 0;
+      sum = 0.0; n = 0; min = infinity; max = neg_infinity }
+  in
+  let errors = ref 0 and live = ref 0 in
   Array.iter
     (fun w ->
       if w.w_index >= oldest && w.w_index <= idx && w.w_n + w.w_errors > 0 then begin
         incr live;
-        Array.iteri (fun i c -> counts.(i) <- counts.(i) + c) w.w_counts;
-        n := !n + w.w_n;
+        Array.iteri (fun i c -> h.counts.(i) <- h.counts.(i) + c) w.w_counts;
+        h.n <- h.n + w.w_n;
         errors := !errors + w.w_errors;
-        sum := !sum +. w.w_sum
+        h.sum <- h.sum +. w.w_sum;
+        h.min <- Float.min h.min w.w_min;
+        h.max <- Float.max h.max w.w_max
       end)
     t.ring;
-  (counts, !n, !errors, !sum, !live)
+  (h, !errors, !live)
 
 let snapshot_locked t now_ms =
-  let counts, n, errors, sum, live = aggregate t now_ms in
-  let h = { Metrics.bounds; counts; sum; n } in
+  let h, errors, live = aggregate t now_ms in
+  let n = h.Metrics.n in
   let pct q =
     match Metrics.percentile h q with Some v -> v | None -> 0.0
   in
@@ -162,7 +173,9 @@ let record t ?(error = false) ~now_ms latency_ms =
           let i = Metrics.bucket_index bounds latency_ms in
           w.w_counts.(i) <- w.w_counts.(i) + 1;
           w.w_n <- w.w_n + 1;
-          w.w_sum <- w.w_sum +. latency_ms
+          w.w_sum <- w.w_sum +. latency_ms;
+          w.w_min <- Float.min w.w_min latency_ms;
+          w.w_max <- Float.max w.w_max latency_ms
         end;
         let snap = snapshot_locked t now_ms in
         let was = t.breached in
@@ -199,6 +212,8 @@ let reset t =
           Array.fill w.w_counts 0 (Array.length w.w_counts) 0;
           w.w_n <- 0;
           w.w_errors <- 0;
-          w.w_sum <- 0.0)
+          w.w_sum <- 0.0;
+          w.w_min <- infinity;
+          w.w_max <- neg_infinity)
         t.ring;
       t.breached <- false)

@@ -2,9 +2,10 @@
 
     Merges the sorted tuple streams of a plan's fragments under the view
     tree's global sort-attribute order, re-nests tuples and emits tags in
-    a single pass.  Memory is bounded by the view-tree size (open-element
-    stack plus pending text/fused payloads per element), not by the
-    database size.
+    a single pass.  Memory is bounded by the view-tree depth (an
+    open-element stack whose entries each retain one row and a position
+    in a per-stream template compiled once per run), not by the database
+    size.
 
     Streams are consumed through pull cursors ({!Relational.Cursor}) and
     merged with a binary min-heap keyed by the hierarchical head

@@ -1,7 +1,12 @@
 (** XML serialization. *)
 
 val escape : string -> string
-(** Escapes the five XML-special characters as entities. *)
+(** Escapes the five XML-special characters as entities.  A string with
+    none of them is returned as it is, without a copy. *)
+
+val escape_into : Buffer.t -> string -> unit
+(** [escape_into buf s] appends [escape s] to [buf] without building the
+    escaped string. *)
 
 val to_string : Xml.t -> string
 (** Compact rendering; empty elements use self-closing tags. *)

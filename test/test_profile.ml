@@ -37,25 +37,26 @@ let hist ?(bounds = [| 1.0; 4.0; 16.0 |]) xs =
 let test_percentile_empty () =
   let h =
     { Obs.Metrics.bounds = [| 1.0; 2.0 |]; counts = [| 0; 0; 0 |];
-      sum = 0.0; n = 0 }
+      sum = 0.0; n = 0; min = infinity; max = neg_infinity }
   in
   Alcotest.(check (option (float 0.0))) "empty histogram" None
     (Obs.Metrics.percentile h 0.5);
   Alcotest.(check bool) "empty summary" true (Obs.Metrics.p50_90_99 h = None);
   (* bounds-less histograms have no information to interpolate *)
   let unbounded =
-    { Obs.Metrics.bounds = [||]; counts = [| 3 |]; sum = 30.0; n = 3 }
+    { Obs.Metrics.bounds = [||]; counts = [| 3 |]; sum = 30.0; n = 3;
+      min = 10.0; max = 10.0 }
   in
   Alcotest.(check (option (float 0.0))) "no bounds" None
     (Obs.Metrics.percentile unbounded 0.5)
 
 let test_percentile_single () =
-  (* one observation at 5.0 lands in (4,16]; every percentile must stay
-     inside that bucket, and the median is its geometric midpoint *)
+  (* one observation at 5.0 lands in (4,16]; the bucket's geometric
+     midpoint (8.0) is clamped to the exact min = max = 5.0 *)
   let h = hist [ 5.0 ] in
   (match Obs.Metrics.percentile h 0.5 with
   | Some p ->
-      feq "p50 is the geometric midpoint" 8.0 p
+      feq "p50 is the observation" 5.0 p
   | None -> Alcotest.fail "p50 missing");
   List.iter
     (fun q ->
@@ -70,10 +71,11 @@ let test_percentile_single () =
 
 let test_percentile_overflow () =
   (* observations beyond the last bound: the estimate degrades to the
-     last bound — a conservative lower bound, never an extrapolation *)
+     last bound (16), clamped up to the smallest observation — still a
+     conservative lower bound, never an extrapolation *)
   let h = hist [ 100.0; 200.0; 1e9 ] in
   List.iter
-    (fun q -> feq (Printf.sprintf "q=%g" q) 16.0
+    (fun q -> feq (Printf.sprintf "q=%g" q) 100.0
         (Option.get (Obs.Metrics.percentile h q)))
     [ 0.5; 0.99 ];
   (* mixed: p50 still interpolates in a real bucket, p99 hits overflow *)
@@ -93,9 +95,38 @@ let test_percentile_custom_bounds () =
   let h2 = hist ~bounds:[| 1.0; 10.0; 100.0 |] [ 0.5; 5.0; 20.0; 30.0 ] in
   feq "p50 at a bucket edge" 10.0
     (Option.get (Obs.Metrics.percentile h2 0.5));
+  (* the log-interpolated p90 (10^1.8 ≈ 63) lies above the largest
+     observation, so it is clamped to it *)
+  feq "p90 clamped to max" 30.0
+    (Option.get (Obs.Metrics.percentile h2 0.9));
+  let h3 = hist ~bounds:[| 1.0; 10.0; 100.0 |] [ 0.5; 5.0; 20.0; 90.0 ] in
   Alcotest.(check (float 1e-6)) "p90 log-interpolated"
     (10.0 ** 1.8)
-    (Option.get (Obs.Metrics.percentile h2 0.9))
+    (Option.get (Obs.Metrics.percentile h3 0.9))
+
+let test_percentile_exact_extremes () =
+  (* one 11.09 ms observation lands in the ×4 duration bucket
+     (4.096, 16.384]; unclamped it read p50 8.19 / p99 16.16 *)
+  let h = hist ~bounds:Obs.Metrics.duration_bounds [ 11.09 ] in
+  (match Obs.Metrics.p50_90_99 h with
+  | Some (p50, p90, p99) ->
+      feq "p50" 11.09 p50;
+      feq "p90" 11.09 p90;
+      feq "p99" 11.09 p99
+  | None -> Alcotest.fail "percentiles missing");
+  feq "min" 11.09 h.Obs.Metrics.min;
+  feq "max" 11.09 h.Obs.Metrics.max;
+  (* many observations: every estimate stays inside [min, max] *)
+  let xs = List.init 50 (fun i -> 3.0 +. (0.1 *. float_of_int i)) in
+  let h = hist ~bounds:Obs.Metrics.duration_bounds xs in
+  List.iter
+    (fun q ->
+      let p = Option.get (Obs.Metrics.percentile h q) in
+      Alcotest.(check bool)
+        (Printf.sprintf "q=%g in [3, 7.9]" q)
+        true
+        (p >= 3.0 && p <= 7.9 +. 1e-9))
+    [ 0.0; 0.01; 0.5; 0.9; 0.99; 1.0 ]
 
 let test_bucket_index_matches_linear () =
   let linear bounds x =
@@ -324,6 +355,8 @@ let suite =
       test_percentile_single;
     Alcotest.test_case "percentile: overflow bucket" `Quick
       test_percentile_overflow;
+    Alcotest.test_case "percentile: clamped to exact min/max" `Quick
+      test_percentile_exact_extremes;
     Alcotest.test_case "percentile: custom bounds" `Quick
       test_percentile_custom_bounds;
     Alcotest.test_case "bucket_index matches linear scan" `Quick

@@ -244,6 +244,29 @@ let test_sibling_order_deterministic () =
   Alcotest.(check (list string)) "plan-independent order" a b;
   Alcotest.(check (list string)) "plan-independent order 2" a c
 
+let test_allocation_per_tuple () =
+  (* The tagger compiles each stream's tag program once; its per-tuple
+     loop reads columns in place and allocates one small record per
+     opened element.  Through a null sink it needs about 35 minor words
+     per tagged tuple here; rebuilding templates, paths and identities on
+     every tuple costs about 450.  The bound leaves 2x headroom. *)
+  let _db, p = setup ~scale:0.5 Queries.query1_text in
+  let plan = Middleware.partition_of p (Middleware.Greedy Planner.default_params) in
+  let e = Middleware.execute ~reduce:true p plan in
+  let tuples =
+    List.fold_left
+      (fun n (_, r) -> n + R.Relation.cardinality r)
+      0 e.Middleware.streams
+  in
+  let null = { Tagger.on_open = ignore; on_text = ignore; on_close = ignore } in
+  let before = Gc.minor_words () in
+  Tagger.tag p.Middleware.tree e.Middleware.streams null;
+  let per_tuple = (Gc.minor_words () -. before) /. float_of_int tuples in
+  Alcotest.(check bool) "tuples tagged" true (tuples > 500);
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f minor words per tuple <= 80" per_tuple)
+    true (per_tuple <= 80.0)
+
 let suite =
   [
     Alcotest.test_case "Fig. 8 exact output" `Quick test_figure8_output;
@@ -261,6 +284,7 @@ let suite =
     Alcotest.test_case "escaping" `Quick test_escaping_through_tagger;
     Alcotest.test_case "constant content" `Quick test_constant_content;
     Alcotest.test_case "mixed text + children" `Quick test_mixed_text_and_children;
+    Alcotest.test_case "allocation per tuple" `Quick test_allocation_per_tuple;
   ]
 
 (* Property: every plan mask produces the same document as the naive

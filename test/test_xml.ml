@@ -46,6 +46,18 @@ let test_serialize_self_closing () =
 let test_escape () =
   Alcotest.(check string) "all five" "&lt;&gt;&amp;&apos;&quot;" (Serialize.escape "<>&'\"")
 
+let test_escape_into () =
+  List.iter
+    (fun s ->
+      let buf = Buffer.create 8 in
+      Buffer.add_string buf "pre|";
+      Serialize.escape_into buf s;
+      Alcotest.(check string) s ("pre|" ^ Serialize.escape s) (Buffer.contents buf))
+    [ ""; "plain"; "<>&'\""; "a<b"; "x & y"; "&"; "tail>"; "<head"; "a&&b\"c'" ];
+  let plain = "no specials here" in
+  Alcotest.(check bool) "plain text is not copied" true
+    (Serialize.escape plain == plain)
+
 let test_byte_size () =
   let d = doc1 () in
   Alcotest.(check int) "matches string" (String.length (Serialize.to_string d))
@@ -172,6 +184,7 @@ let suite =
     Alcotest.test_case "serialize: escaping" `Quick test_serialize_escaping;
     Alcotest.test_case "serialize: self closing" `Quick test_serialize_self_closing;
     Alcotest.test_case "escape" `Quick test_escape;
+    Alcotest.test_case "escape_into agrees with escape" `Quick test_escape_into;
     Alcotest.test_case "byte size" `Quick test_byte_size;
     Alcotest.test_case "parse round trip" `Quick test_parse_round_trip;
     Alcotest.test_case "parse attributes" `Quick test_parse_attributes;

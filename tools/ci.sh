@@ -84,6 +84,9 @@ if ! echo "$serving_out" | grep -q ' yes$'; then
   exit 1
 fi
 
+echo "== export smoke (export-q1: the greedy sf=8 Query 1 export through the tagger, checked against the naive oracle)"
+sh perfbench/run.sh --workload export-q1 --seed 1009 --seconds 1 --trace 0
+
 echo "== wall-clock harness smoke (plan-sweep: a seeded run of edge-mask plans, each output checked against the naive oracle)"
 sh perfbench/run.sh --workload plan-sweep --seed 1009 --seconds 1 --trace 0
 
