@@ -700,22 +700,23 @@ let rec exec_pairs ctx (n : P.node) : (int * Tuple.t) list =
         out
     | P.Project { input; items; charged; _ } ->
         let rows = exec_pairs ctx input in
-        let w0 = ctx.st.work in
-        let full = Array.for_all (fun c -> c) charged in
-        let fns = Array.map Expr.compile items in
-        let out =
-          List.map
-            (fun (_, row) ->
-              let t = Array.map (fun f -> f row) fns in
-              let bytes =
-                if full then Tuple.wire_size t else masked_size charged t
-              in
-              charge_emit_bytes ctx bytes;
-              (bytes, t))
-            rows
-        in
-        n.P.act_cost <- ctx.st.work - w0;
-        out
+        Obs.Span.with_span "exec.project" (fun () ->
+            let w0 = ctx.st.work in
+            let full = Array.for_all (fun c -> c) charged in
+            let fns = Array.map Expr.compile items in
+            let out =
+              List.map
+                (fun (_, row) ->
+                  let t = Array.map (fun f -> f row) fns in
+                  let bytes =
+                    if full then Tuple.wire_size t else masked_size charged t
+                  in
+                  charge_emit_bytes ctx bytes;
+                  (bytes, t))
+                rows
+            in
+            n.P.act_cost <- ctx.st.work - w0;
+            out)
     | P.Join { left; right; info } ->
         let l = exec_pairs ctx left in
         let r = exec_pairs ctx right in
@@ -883,24 +884,25 @@ let rec exec_batched ctx ~size (n : P.node) : Batch.t list =
         batches
     | P.Project { input; items; charged; _ } ->
         let inb = exec_batched ctx ~size input in
-        let w0 = ctx.st.work in
-        let full = Array.for_all (fun c -> c) charged in
-        let fns = Array.map Expr.compile items in
-        let bb = bb_create size in
-        List.iter
-          (fun b ->
-            Batch.iter
-              (fun row _ ->
-                let t = Array.map (fun f -> f row) fns in
-                let bytes =
-                  if full then Tuple.wire_size t else masked_size charged t
-                in
-                charge_emit_bytes ctx bytes;
-                bb_push bb bytes t)
-              b)
-          inb;
-        n.P.act_cost <- ctx.st.work - w0;
-        bb_finish bb
+        Obs.Span.with_span "exec.project" (fun () ->
+            let w0 = ctx.st.work in
+            let full = Array.for_all (fun c -> c) charged in
+            let fns = Array.map Expr.compile items in
+            let bb = bb_create size in
+            List.iter
+              (fun b ->
+                Batch.iter
+                  (fun row _ ->
+                    let t = Array.map (fun f -> f row) fns in
+                    let bytes =
+                      if full then Tuple.wire_size t else masked_size charged t
+                    in
+                    charge_emit_bytes ctx bytes;
+                    bb_push bb bytes t)
+                  b)
+              inb;
+            n.P.act_cost <- ctx.st.work - w0;
+            bb_finish bb)
     | P.Join { left; right; info } ->
         let l = exec_batched ctx ~size left in
         let r = exec_batched ctx ~size right in
